@@ -3,6 +3,13 @@
 Equilibrium search is an exhaustive scan over a discretized strategy grid:
 the equilibria of interest sit at corners of the strategy manifold, so grid
 search doubles as an oracle for the closed-form threshold expressions.
+
+Payoffs are the rank-6 bilinear form of game.py: Alice's payoff matrix is
+P = F M F^T for the grid's feature rows F and the 6x6 payoff form M.  The
+Nash scan makes two passes over blocks of grid rows, the first for the
+column maxima of P, the second forming the block's rows of P from F M and
+its columns from F M^T to keep the pairs where neither player gains more
+than tol, so memory grows with the grid, not with its square.
 """
 
 from __future__ import annotations
@@ -14,11 +21,11 @@ import numpy as np
 
 from .game import (
     DEFAULT_TABLE,
-    COOPERATE,
-    DEFECT,
-    QUANTUM,
     PayoffTable,
     Strategy,
+    payoff_form,
+    strategy_features,
+    sweep_gammas,
     validate_gamma,
 )
 
@@ -27,6 +34,10 @@ REGIME_INTERMEDIATE = "intermediate"
 REGIME_QUANTUM = "quantum"
 
 DEFAULT_TOL = 1e-9
+
+# Strategy-grid rows per block of the Nash scan: it holds a few
+# NASH_BLOCK_ROWS x n arrays at a time, never the n x n payoff matrix.
+NASH_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -87,60 +98,19 @@ class EquilibriumReport:
     regime: str
 
 
-def _move_kets(thetas: np.ndarray, phis: np.ndarray):
-    """Column kets of each move: U|0> = (e^{i phi} cos, -sin),
-    U|1> = (sin, e^{-i phi} cos)."""
-    half = np.asarray(thetas, dtype=float) / 2
-    cos_h, sin_h = np.cos(half), np.sin(half)
-    phase = np.exp(1j * np.asarray(phis, dtype=float))
-    return (phase * cos_h, -sin_h + 0j), (sin_h + 0j, phase.conj() * cos_h)
-
-
 def pairwise_payoff_matrix(
     gamma: float,
     thetas: np.ndarray,
     phis: np.ndarray,
     table: PayoffTable = DEFAULT_TABLE,
-    chunk: int = 256,
-    opp_thetas: np.ndarray | None = None,
-    opp_phis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Alice's payoff for every ordered strategy pair, P[i, j] = payoff(i vs j).
 
-    Vectorized form of the play() pipeline: the shared state is
-    cos(g/2)|CC> + i sin(g/2)|DD>, each player's move contributes its two
-    column kets, and the disentangler mixes amplitudes pairwise.  Rows index
-    Alice's strategies, columns the opponent's (defaulting to the same set,
-    in which case Bob's payoff for pair (i, j) is P[j, i] by symmetry).
+    The rank-6 product F M F^T of the strategies' feature rows F and the
+    payoff form M.  Bob's payoff for pair (i, j) is P[j, i] by symmetry.
     """
-    gamma = validate_gamma(gamma)
-    (a0, a1), (b0, b1) = _move_kets(thetas, phis)
-    if opp_thetas is None:
-        (o_a0, o_a1), (o_b0, o_b1) = (a0, a1), (b0, b1)
-    else:
-        (o_a0, o_a1), (o_b0, o_b1) = _move_kets(opp_thetas, opp_phis)
-
-    c, s = math.cos(gamma / 2), math.sin(gamma / 2)
-    r, su, te, pu = table.as_tuple()
-    n = a0.size
-    out = np.empty((n, o_a0.size), dtype=float)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        p00 = c * np.outer(a0[lo:hi], o_a0) + 1j * s * np.outer(b0[lo:hi], o_b0)
-        p01 = c * np.outer(a0[lo:hi], o_a1) + 1j * s * np.outer(b0[lo:hi], o_b1)
-        p10 = c * np.outer(a1[lo:hi], o_a0) + 1j * s * np.outer(b1[lo:hi], o_b0)
-        p11 = c * np.outer(a1[lo:hi], o_a1) + 1j * s * np.outer(b1[lo:hi], o_b1)
-        f00 = c * p00 - 1j * s * p11
-        f01 = c * p01 + 1j * s * p10
-        f10 = c * p10 + 1j * s * p01
-        f11 = c * p11 - 1j * s * p00
-        out[lo:hi] = (
-            r * np.abs(f00) ** 2
-            + su * np.abs(f01) ** 2
-            + te * np.abs(f10) ** 2
-            + pu * np.abs(f11) ** 2
-        )
-    return out
+    features = strategy_features(thetas, phis)
+    return features @ payoff_form(gamma, table) @ features.T
 
 
 def best_response(
@@ -154,10 +124,8 @@ def best_response(
     Exact ties break toward the lexicographically smallest (theta, phi).
     """
     tt, pp = grid.angles()
-    payoff = pairwise_payoff_matrix(
-        gamma, tt, pp, table,
-        opp_thetas=np.array([opponent.theta]), opp_phis=np.array([opponent.phi]),
-    )[:, 0]
+    column = payoff_form(gamma, table) @ strategy_features(opponent.theta, opponent.phi)
+    payoff = strategy_features(tt, pp) @ column
     idx = int(np.argmax(payoff))  # first occurrence = lex smallest on this grid
     return Strategy(float(tt[idx]), float(pp[idx])), float(payoff[idx])
 
@@ -218,22 +186,26 @@ def find_nash_grid(
     if tol <= 0:
         raise ValueError("tol must be positive")
     tt, pp = grid.angles()
-    payoff = pairwise_payoff_matrix(gamma, tt, pp, table)
-    best = payoff.max(axis=0)
-    alice_ok = payoff >= best[np.newaxis, :] - tol
-    nash = alice_ok & alice_ok.T
-    pairs = np.argwhere(nash)
-    equilibria = tuple(
-        (
-            Strategy(float(tt[i]), float(pp[i])),
-            Strategy(float(tt[j]), float(pp[j])),
-            float(payoff[i, j]),
-            float(payoff[j, i]),
-        )
-        for i, j in pairs
-    )
+    features = strategy_features(tt, pp)
+    form = payoff_form(gamma, table)
+    alice_rows, bob_rows = features @ form, features @ form.T
+    n = len(features)
+    blocks = [slice(lo, min(lo + NASH_BLOCK_ROWS, n)) for lo in range(0, n, NASH_BLOCK_ROWS)]
+    best = np.full(n, -np.inf)  # best[j]: Alice's best payoff against strategy j
+    for rows in blocks:
+        np.maximum(best, (alice_rows[rows] @ features.T).max(axis=0), out=best)
+    floor = best - tol
+    equilibria = []
+    for rows in blocks:
+        alice = alice_rows[rows] @ features.T  # alice[k, j] = P[i, j], i = rows.start + k
+        bob = bob_rows[rows] @ features.T  # bob[k, j] = P[j, i]
+        nash = (alice >= floor) & (bob >= floor[rows, np.newaxis])
+        for k, j in zip(*np.divmod(np.flatnonzero(nash), n)):
+            i = rows.start + k
+            equilibria.append((Strategy(float(tt[i]), float(pp[i])), Strategy(float(tt[j]), float(pp[j])),
+                               float(alice[k, j]), float(bob[k, j])))
     return EquilibriumReport(
-        gamma=float(gamma), equilibria=equilibria, regime=classify_regime(gamma, table)
+        gamma=float(gamma), equilibria=tuple(equilibria), regime=classify_regime(gamma, table)
     )
 
 
@@ -247,7 +219,7 @@ def nash_payoff_curve(
     the quantum regime emits the mutual-quantum row.
     """
     if gammas is None:
-        gammas = [n * math.pi / 36 for n in range(19)]
+        gammas = sweep_gammas()
     th = thresholds(table)
     r, s, t, p = table.as_tuple()
     rows: list[tuple[float, str, float]] = []

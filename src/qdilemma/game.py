@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KET_CC, apply, density_from_state, probabilities
+from .linalg import KET_CC, apply, probabilities
 
 GAMMA_MAX = math.pi / 2
 
@@ -72,6 +72,65 @@ class PayoffTable:
 DEFAULT_TABLE = PayoffTable()
 
 
+def strategy_features(thetas, phis) -> np.ndarray:
+    """Real features f(theta, phi), shape (..., 6): Alice's payoff is f(A) . M . f(B).
+
+    f = (cos^2(theta/2), sin^2(theta/2), sin theta cos phi, sin theta sin phi,
+    cos^2(theta/2) cos 2phi, cos^2(theta/2) sin 2phi) spans the same space as
+    (1, cos theta, ...) without the cancellation of 1 + cos theta near pi.
+    """
+    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+    sin_t, cos2_h = np.sin(thetas), np.cos(thetas / 2) ** 2
+    columns = (cos2_h, np.sin(thetas / 2) ** 2, sin_t * np.cos(phis), sin_t * np.sin(phis),
+               cos2_h * np.cos(2 * phis), cos2_h * np.sin(2 * phis))
+    return np.stack(columns, axis=-1)
+
+
+_DEFECT_FEATURES = strategy_features(DEFECT.theta, DEFECT.phi)
+_QUANTUM_FEATURES = strategy_features(QUANTUM.theta, QUANTUM.phi)
+
+
+def _outcome_forms() -> np.ndarray:
+    """Bilinear forms of the outcome probabilities (CC, CD, DC, DD) as coefficients
+    of (1, sin^2 gamma, sin gamma), shape (4, 3, 6, 6).
+
+    With c, s = cos, sin of theta/2, u = c^2 sin^2 phi and Phi = phi_A + phi_B:
+        P_CC = c_A^2 c_B^2 (1 - sin^2 gamma sin^2 Phi)
+        P_CD = c_A^2 s_B^2 + sin^2 gamma (s_A^2 u_B - u_A s_B^2)
+               - 2 sin gamma s_A c_A cos phi_A s_B c_B sin phi_B
+        P_DC = P_CD with the players swapped
+        P_DD = (s_A s_B + sin gamma c_A c_B sin Phi)^2
+    Each product of per-player terms is an outer product of two feature functionals.
+    """
+    cos2, sin2, e2, e3, e4, e5 = np.eye(6)  # pick c^2, s^2 and f[2] .. f[5]
+    u = (cos2 - e4) / 2  # c^2 sin^2 phi
+    o = np.outer
+    twist = (o(cos2, cos2) - o(e4, e4) + o(e5, e5)) / 2  # c_A^2 c_B^2 sin^2 Phi
+    swap = o(sin2, u) - o(u, sin2)
+    forms = np.array([
+        [o(cos2, cos2), -twist, np.zeros((6, 6))],
+        [o(cos2, sin2), swap, -o(e2, e3) / 2],
+        [o(sin2, cos2), -swap, -o(e3, e2) / 2],
+        [o(sin2, sin2), twist, (o(e2, e3) + o(e3, e2)) / 2],
+    ])
+    forms.setflags(write=False)
+    return forms
+
+
+_OUTCOME_FORMS = _outcome_forms()
+
+
+def payoff_form(gamma: float, table: PayoffTable = DEFAULT_TABLE) -> np.ndarray:
+    """The 6x6 matrix M of Alice's payoff f(A) . M . f(B); Bob's form is M.T.
+
+    M = A + B sin^2(gamma) + C sin(gamma): the outcome-probability forms
+    weighted by (reward, sucker, temptation, punishment).
+    """
+    sg = math.sin(validate_gamma(gamma))
+    weights = np.outer(table.as_tuple(), (1.0, sg * sg, sg))
+    return np.tensordot(weights, _OUTCOME_FORMS, 2)
+
+
 @dataclass(frozen=True)
 class GameOutcome:
     final_state: np.ndarray
@@ -122,19 +181,9 @@ def payoffs_from_probabilities(
     probs, table: PayoffTable = DEFAULT_TABLE
 ) -> tuple[float, float]:
     p_cc, p_cd, p_dc, p_dd = probs
-    a = (
-        table.reward * p_cc
-        + table.sucker * p_cd
-        + table.temptation * p_dc
-        + table.punishment * p_dd
-    )
-    b = (
-        table.reward * p_cc
-        + table.temptation * p_cd
-        + table.sucker * p_dc
-        + table.punishment * p_dd
-    )
-    return (float(a), float(b))
+    r, s, t, p = table.as_tuple()
+    return (float(r * p_cc + s * p_cd + t * p_dc + p * p_dd),
+            float(r * p_cc + t * p_cd + s * p_dc + p * p_dd))
 
 
 def play(
@@ -155,50 +204,32 @@ def play(
     return GameOutcome(final_state=psi, probabilities=probs, payoff_a=pa, payoff_b=pb)
 
 
-def density_after_play(
-    gamma: float, sa: Strategy, sb: Strategy
-) -> np.ndarray:
-    """Density matrix of the final state; the bridge to the tomography path."""
-    return density_from_state(final_state(gamma, sa, sb))
-
-
 def payoff_vs_defect(
     theta: float, phi: float, gamma: float, table: PayoffTable = DEFAULT_TABLE
 ) -> float:
-    """Closed-form payoff of U(theta, phi) against an always-defecting opponent.
+    """Payoff of U(theta, phi) against an always-defecting opponent.
 
+    One row of the bilinear kernel, f(theta, phi) . M(gamma, table) . f(D).
     With the default table this is sin^2(theta/2)
-    + 5 cos^2(theta/2) sin^2(phi) sin^2(gamma); the general form keeps the
-    sucker/temptation/punishment coefficients symbolic.
+    + 5 cos^2(theta/2) sin^2(phi) sin^2(gamma).
     """
-    gamma = validate_gamma(gamma)
+    form = payoff_form(gamma, table)
     s = Strategy(theta, phi)  # bounds check
-    c2 = math.cos(s.theta / 2) ** 2
-    s2 = math.sin(s.theta / 2) ** 2
-    w = math.sin(s.phi) ** 2 * math.sin(gamma) ** 2
-    return table.sucker * c2 * (1 - w) + table.temptation * c2 * w + table.punishment * s2
+    return float(strategy_features(s.theta, s.phi) @ form @ _DEFECT_FEATURES)
 
 
 def payoff_vs_q(
     theta: float, phi: float, gamma: float, table: PayoffTable = DEFAULT_TABLE
 ) -> float:
-    """Closed-form payoff of U(theta, phi) against the quantum move Q.
+    """Payoff of U(theta, phi) against the quantum move Q.
 
+    One row of the bilinear kernel, f(theta, phi) . M(gamma, table) . f(Q).
     With the default table this reduces to
     4 - cos(theta) + (-3 + 2 cos(theta) - cos^2(theta/2) cos(2 phi)) sin^2(gamma).
     """
-    gamma = validate_gamma(gamma)
+    form = payoff_form(gamma, table)
     s = Strategy(theta, phi)
-    c2 = math.cos(s.theta / 2) ** 2
-    s2 = math.sin(s.theta / 2) ** 2
-    sg2 = math.sin(gamma) ** 2
-    w = math.cos(s.phi) ** 2 * sg2
-    return (
-        table.reward * c2 * (1 - w)
-        + table.sucker * s2 * sg2
-        + table.temptation * s2 * (1 - sg2)
-        + table.punishment * c2 * w
-    )
+    return float(strategy_features(s.theta, s.phi) @ form @ _QUANTUM_FEATURES)
 
 
 def sweep_gammas(n_points: int = 19) -> list[float]:

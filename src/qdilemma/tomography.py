@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .game import DEFAULT_TABLE, PayoffTable
+from .game import DEFAULT_TABLE, PayoffTable, payoffs_from_probabilities
 from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, TOL, density_matrix
 
 ROTATION_CHOICES = ("none", "x90", "y90")
@@ -249,10 +249,7 @@ def payoff_from_density(
     rho: np.ndarray, table: PayoffTable = DEFAULT_TABLE
 ) -> tuple[float, float]:
     """Both payoffs from the diagonal outcome probabilities of rho."""
-    d = np.asarray(rho, dtype=complex).diagonal().real
-    pa = table.reward * d[0] + table.sucker * d[1] + table.temptation * d[2] + table.punishment * d[3]
-    pb = table.reward * d[0] + table.temptation * d[1] + table.sucker * d[2] + table.punishment * d[3]
-    return (float(pa), float(pb))
+    return payoffs_from_probabilities(np.asarray(rho, dtype=complex).diagonal().real, table)
 
 
 def _fmt(x: float) -> str:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qdilemma.equilibrium import (
     DEFAULT_GRID,
+    NASH_BLOCK_ROWS,
     REGIME_CLASSICAL,
     REGIME_INTERMEDIATE,
     REGIME_QUANTUM,
@@ -24,9 +26,11 @@ from qdilemma.game import (
     QUANTUM,
     PayoffTable,
     Strategy,
+    payoff_form,
     payoff_vs_defect,
     payoff_vs_q,
     play,
+    strategy_features,
 )
 
 FAST_GRID = StrategyGrid(31, 16)
@@ -181,6 +185,21 @@ def test_regime_scan_with_coincident_thresholds():
     assert pair_keys(above) == {(Q_KEY, Q_KEY)}
 
 
+@pytest.mark.parametrize("table", REGIME_SCAN_TABLES, ids=lambda t: str(t.as_tuple()))
+def test_bilinear_form_matches_play(table):
+    rng = np.random.default_rng(19)
+    thetas = rng.uniform(0, math.pi, 8)
+    phis = rng.uniform(0, math.pi / 2, 8)
+    features = strategy_features(thetas, phis)
+    for gamma in (0.0, rng.uniform(0, math.pi / 2), math.pi / 2):
+        form = payoff_form(gamma, table)
+        for i in range(8):
+            for j in range(8):
+                o = play(gamma, Strategy(thetas[i], phis[i]), Strategy(thetas[j], phis[j]), table)
+                assert features[i] @ form @ features[j] == pytest.approx(o.payoff_a, abs=1e-12)
+                assert features[i] @ form.T @ features[j] == pytest.approx(o.payoff_b, abs=1e-12)
+
+
 class TestFindNashGrid:
     def test_classical_regime(self):
         report = find_nash_grid(0.0, FAST_GRID)
@@ -227,6 +246,39 @@ class TestFindNashGrid:
         a = find_nash_grid(g, FAST_GRID)
         b = find_nash_grid(g, FAST_GRID)
         assert a == b
+
+    @pytest.mark.parametrize("table", REGIME_SCAN_TABLES[:3], ids=lambda t: str(t.as_tuple()))
+    def test_blocked_scan_matches_full_matrix_mask(self, table):
+        tt, pp = FAST_GRID.angles()
+        n = len(tt)
+        assert n > 2 * NASH_BLOCK_ROWS and n % NASH_BLOCK_ROWS != 0
+        th = thresholds(table)
+        for gamma in (0.0, th.gamma_th1, (th.gamma_th1 + th.gamma_th2) / 2, th.gamma_th2, 1.2):
+            payoff = pairwise_payoff_matrix(gamma, tt, pp, table)
+            alice_ok = payoff >= payoff.max(axis=0) - 1e-9
+            expected = [
+                (tt[i], pp[i], tt[j], pp[j], payoff[i, j], payoff[j, i])
+                for i, j in np.argwhere(alice_ok & alice_ok.T)
+            ]
+            report = find_nash_grid(gamma, FAST_GRID, 1e-9, table)
+            assert len(report.equilibria) == len(expected)
+            for (sa, sb, pa, pb), (ta, pha, tb, phb, ea, eb) in zip(report.equilibria, expected):
+                assert (sa.theta, sa.phi, sb.theta, sb.phi) == (ta, pha, tb, phb)
+                assert pa == pytest.approx(ea, abs=1e-12)
+                assert pb == pytest.approx(eb, abs=1e-12)
+
+    def test_memory_stays_linear_in_the_grid(self):
+        # 7321 strategies: the dense float64 payoff matrix alone would be 429 MB
+        grid = StrategyGrid(121, 61)
+        assert len(grid.angles()[0]) == 7321
+        tracemalloc.start()
+        try:
+            report = find_nash_grid(0.6, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pair_keys(report) == {(D_KEY, Q_KEY), (Q_KEY, D_KEY)}
+        assert peak < 64e6
 
 
 class TestRegimeClassification:
