@@ -48,12 +48,8 @@ PRESETS = ("fig2", "fig3", "fig4")
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # input errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self._input_error(message))
-
-    @staticmethod
-    def _input_error(message) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _parse_table(raw: str) -> PayoffTable:
@@ -100,15 +96,14 @@ def build_landscape_dataset(config: dict) -> FigureDataset:
     table = PayoffTable(*config["table"])
     gamma = validate_gamma(config["gamma"])
     ts, payoff = landscape(gamma, config["steps"], table)
-    t_a, t_b, values = [], [], []
-    for i, ta in enumerate(ts):
-        for j, tb in enumerate(ts):
-            t_a.append(float(ta))
-            t_b.append(float(tb))
-            values.append(float(payoff[i, j]))
+    n = len(ts)
     return FigureDataset(
         kind="landscape",
-        columns={"t_a": t_a, "t_b": t_b, "payoff_a": values},
+        columns={
+            "t_a": np.repeat(ts, n).tolist(),
+            "t_b": np.tile(ts, n).tolist(),
+            "payoff_a": payoff.ravel().tolist(),
+        },
         metadata=config,
     )
 
@@ -261,11 +256,14 @@ def build_tomo_report(
 def _replay(path: str, expected_kind: str) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         original = fh.read()
-    meta = read_metadata(original)
-    kind = meta.pop("kind")
-    if kind != expected_kind:
-        raise ValueError(f"file {path} holds a {kind!r} dataset, not {expected_kind!r}")
-    regenerated = render(_BUILDERS[kind](meta), meta["format"])
+    try:
+        meta = read_metadata(original)
+        kind = meta.pop("kind")
+        if kind != expected_kind:
+            raise ValueError(f"file {path} holds a {kind!r} dataset, not {expected_kind!r}")
+        regenerated = render(_BUILDERS[kind](meta), meta["format"])
+    except KeyError as exc:
+        raise ValueError(f"file {path}: embedded metadata lacks key {exc.args[0]!r}") from None
     if regenerated == original:
         print(f"replay ok: {path} regenerates byte-identically")
         return 0

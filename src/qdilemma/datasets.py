@@ -2,12 +2,21 @@
 
 Every file embeds its full generating configuration so a run can be
 replayed and byte-compared.  CSV numbers are rendered in fixed notation
-with 12 significant digits and a locale-independent decimal point.
+with 12 significant digits and a locale-independent decimal point.  JSON is
+written directly, one column at a time, in exactly the layout of
+``json.dumps(payload, sort_keys=True, indent=2)``, whose indented encoder
+is pure Python and several times slower.
+
+Both writers format a column once per distinct value (a landscape's t
+columns hold only `steps` values).  The memo skips zeros and anything that
+is not a float: ``0.0 == -0.0`` and ``1 == 1.0`` compare equal but render
+differently, so they must not share an entry.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,27 +47,53 @@ def format_number(x) -> str:
     )
 
 
+def _column_cells(values, fmt) -> list[str]:
+    """fmt(v) for each value, formatting each distinct nonzero float once."""
+    memo = {}
+    cells = []
+    for v in values:
+        if isinstance(v, float) and v:
+            cell = memo.get(v)
+            if cell is None:
+                cell = memo[v] = fmt(v)
+        else:
+            cell = fmt(v)
+        cells.append(cell)
+    return cells
+
+
 def to_csv(ds: FigureDataset) -> str:
     meta = {"kind": ds.kind, **ds.metadata}
     lines = [CSV_META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))]
-    names = list(ds.columns)
-    lines.append(",".join(names))
-    n_rows = len(ds.columns[names[0]]) if names else 0
-    for i in range(n_rows):
-        lines.append(",".join(format_number(ds.columns[name][i]) for name in names))
+    lines.append(",".join(ds.columns))
+    cells = [_column_cells(values, format_number) for values in ds.columns.values()]
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
+def _json_item(v) -> str:
+    """One column entry as json.dumps writes it: strings as strings, the
+    rest as floats."""
+    if isinstance(v, str):
+        return json.dumps(v)
+    x = float(v)
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
 def to_json(ds: FigureDataset) -> str:
-    payload = {
-        "kind": ds.kind,
-        "metadata": ds.metadata,
-        "columns": {
-            name: [v if isinstance(v, str) else float(v) for v in values]
-            for name, values in ds.columns.items()
-        },
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    columns = []
+    for name in sorted(ds.columns):
+        items = _column_cells(ds.columns[name], _json_item)
+        body = "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
+        columns.append(f"    {json.dumps(name)}: {body}")
+    columns_text = "{\n" + ",\n".join(columns) + "\n  }" if columns else "{}"
+    # json escapes newlines inside strings, so every newline here is layout
+    kind, metadata = (
+        json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
+        for v in (ds.kind, ds.metadata)
+    )
+    return (f'{{\n  "columns": {columns_text},\n  "kind": {kind},\n'
+            f'  "metadata": {metadata}\n}}\n')
 
 
 def render(ds: FigureDataset, fmt: str) -> str:

@@ -279,14 +279,20 @@ class _NoiseDraw:
         return nominal_rad * scale
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 factors: the same products, without kron's
+    generic-shape set-up, which dominated a pulse's cost."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def _primitive_unitary(p: PulsePrimitive, system: SpinSystem, draw: _NoiseDraw) -> np.ndarray:
     if p.kind == "rotation":
         r = _rotation_1q(draw.angle(math.radians(p.angle_deg)), p.phase_axis)
         if p.target == "alice":
-            return np.kron(r, I2)
+            return _kron2(r, I2)
         if p.target == "bob":
-            return np.kron(I2, r)
-        return np.kron(r, r)
+            return _kron2(I2, r)
+        return _kron2(r, r)
     if p.duration_s < 0:
         raise ValueError("free evolution duration must be non-negative")
     return _free_evolution_unitary(system.j_coupling * draw.j_factor, p.duration_s)

@@ -11,6 +11,7 @@ eigenvalue negative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -88,8 +89,15 @@ class ReconstructionResult:
     rho_raw: np.ndarray | None = None
 
 
-def _setting_unitary(setting: ReadoutSetting) -> np.ndarray:
-    return np.kron(_ROTATION_1Q[setting.alice_rotation], _ROTATION_1Q[setting.bob_rotation])
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+_SETTING_UNITARIES = {
+    s.id: _read_only(np.kron(_ROTATION_1Q[s.alice_rotation], _ROTATION_1Q[s.bob_rotation]))
+    for s in ALL_SETTINGS
+}
 
 
 def _observables() -> list[np.ndarray]:
@@ -115,7 +123,7 @@ def simulate_readout(
     stream across settings.
     """
     rho = np.asarray(rho, dtype=complex)
-    u = _setting_unitary(setting)
+    u = _SETTING_UNITARIES[setting.id]
     rotated = u @ rho @ u.conj().T
     values = np.array([np.trace(obs @ rotated).real for obs in _OBSERVABLES])
     if noise_sigma > 0:
@@ -140,9 +148,9 @@ def tomography_records(
     ]
 
 
-def _design_block(setting: ReadoutSetting) -> tuple[np.ndarray, np.ndarray]:
+def _design_block(setting_id: str) -> tuple[np.ndarray, np.ndarray]:
     """Rows mapping the 15 Pauli coefficients to this setting's values."""
-    u = _setting_unitary(setting)
+    u = _SETTING_UNITARIES[setting_id]
     rows = np.empty((len(_OBSERVABLES), len(PARAM_LABELS)))
     offsets = np.empty(len(_OBSERVABLES))
     for k, obs in enumerate(_OBSERVABLES):
@@ -151,21 +159,6 @@ def _design_block(setting: ReadoutSetting) -> tuple[np.ndarray, np.ndarray]:
         for m, pauli in enumerate(_PARAM_MATRICES):
             rows[k, m] = np.trace(back @ pauli).real / 4.0
     return rows, offsets
-
-
-_DESIGN_CACHE: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _design_for(settings) -> tuple[np.ndarray, np.ndarray]:
-    blocks = []
-    offsets = []
-    for s in settings:
-        if s.id not in _DESIGN_CACHE:
-            _DESIGN_CACHE[s.id] = _design_block(s)
-        a, b = _DESIGN_CACHE[s.id]
-        blocks.append(a)
-        offsets.append(b)
-    return np.vstack(blocks), np.concatenate(offsets)
 
 
 def _null_direction_labels(a: np.ndarray, rank: int) -> list[str]:
@@ -178,10 +171,15 @@ def _null_direction_labels(a: np.ndarray, rank: int) -> list[str]:
     return sorted(labels)
 
 
-def design_matrix_rank_check(settings=ALL_SETTINGS) -> int:
-    """Rank of the readout design matrix; raises if any parameter direction
-    is unconstrained, naming the offending Pauli components."""
-    a, _ = _design_for(settings)
+@functools.lru_cache(maxsize=64)
+def _checked_design(setting_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked design rows and offsets for these settings, in order.
+
+    Raises, naming the unconstrained Pauli components, if the settings leave
+    any parameter direction free; a failing tuple is never cached, so it
+    raises on every call."""
+    blocks, offsets = zip(*(_design_block(sid) for sid in setting_ids))
+    a = np.vstack(blocks)
     rank = int(np.linalg.matrix_rank(a, tol=1e-8))
     if rank < len(PARAM_LABELS):
         missing = _null_direction_labels(a, rank)
@@ -189,10 +187,14 @@ def design_matrix_rank_check(settings=ALL_SETTINGS) -> int:
             f"readout design is rank deficient ({rank}/{len(PARAM_LABELS)}); "
             f"unconstrained directions: {', '.join(missing)}"
         )
-    return rank
+    return _read_only(a), _read_only(np.concatenate(offsets))
 
 
-_startup_checked = False
+def design_matrix_rank_check(settings=ALL_SETTINGS) -> int:
+    """Rank of the readout design matrix; raises if any parameter direction
+    is unconstrained, naming the offending Pauli components."""
+    _checked_design(tuple(s.id for s in settings))
+    return len(PARAM_LABELS)
 
 
 def reconstruct(records) -> ReconstructionResult:
@@ -203,22 +205,10 @@ def reconstruct(records) -> ReconstructionResult:
     projection (clip negative eigenvalues, renormalize the trace) only when
     the raw minimizer leaves the physical cone.
     """
-    global _startup_checked
-    if not _startup_checked:
-        design_matrix_rank_check()
-        _startup_checked = True
-
     records = list(records)
     if not records:
         raise ValueError("no measurement records supplied")
-    a, offsets = _design_for([r.setting for r in records])
-    rank = int(np.linalg.matrix_rank(a, tol=1e-8))
-    if rank < len(PARAM_LABELS):
-        missing = _null_direction_labels(a, rank)
-        raise ValueError(
-            f"records leave the design rank deficient ({rank}/{len(PARAM_LABELS)}); "
-            f"unconstrained directions: {', '.join(missing)}"
-        )
+    a, offsets = _checked_design(tuple(r.setting.id for r in records))
     y = np.concatenate([r.observed_values for r in records]) - offsets
     m = a.T @ a
     c = np.linalg.solve(m, a.T @ y)

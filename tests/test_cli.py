@@ -140,6 +140,27 @@ class TestReplay:
         assert run_cli("landscape", "--gamma", "0.3", "--steps", "3", "--out", out) == 0
         assert run_cli("sweep", "--replay", out) == 1
 
+    @pytest.mark.parametrize(
+        "command,args,key",
+        [
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "steps"),
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "format"),
+            ("sweep", ("--gamma", "0.6", "--seed", "5"), "seed"),
+            ("sweep", ("--gamma", "0.6", "--seed", "5"), "format"),
+        ],
+    )
+    def test_replay_names_missing_metadata_key(self, tmp_path, capsys, command, args, key):
+        out = str(tmp_path / "d.csv")
+        assert run_cli(command, *args, "--out", out) == 0
+        meta_line, rest = read(out).split("\n", 1)
+        meta = json.loads(meta_line[len("# meta: "):])
+        del meta[key]
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("# meta: " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert run_cli(command, "--replay", out) == 1
+        assert f"error: file {out}: embedded metadata lacks key '{key}'" in capsys.readouterr().err
+
 
 class TestNmrCommand:
     def test_writes_report_and_pulse_listing(self, tmp_path):

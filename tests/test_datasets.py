@@ -1,0 +1,131 @@
+import contextlib
+import io
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qdilemma.cli import build_equilibria_dataset, main
+from qdilemma.datasets import FigureDataset, format_number, read_metadata, render, to_csv, to_json
+
+DATA = Path(__file__).parent / "data"
+
+
+def unmemoised_csv_rows(ds):
+    """Data rows as formatted one cell at a time, with no memo."""
+    names = list(ds.columns)
+    n_rows = len(ds.columns[names[0]])
+    return [",".join(format_number(ds.columns[name][i]) for name in names) for i in range(n_rows)]
+
+
+def oracle_json(ds):
+    """The layout to_json reproduces: json.dumps of the whole payload."""
+    payload = {
+        "kind": ds.kind,
+        "metadata": ds.metadata,
+        "columns": {
+            name: [v if isinstance(v, str) else float(v) for v in values]
+            for name, values in ds.columns.items()
+        },
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestFormatNumber:
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (1, "1"),
+            (1.0, "1.0"),
+            (np.float64(0.1), "0.1"),
+            (np.float64(2.5), "2.5"),
+            (1e-20, "0.00000000000000000001"),
+            (1e15, "1000000000000000.0"),
+            (1234567890125.0, "1234567890120.0"),  # tie at digit 12 rounds to even
+            (1234567890135.0, "1234567890140.0"),
+            (1 / 3, "0.333333333333"),
+            (np.int64(7), "7"),
+            ("DD", "DD"),
+        ],
+    )
+    def test_golden_strings(self, value, text):
+        assert format_number(value) == text
+
+
+MIXED = [0.0, -0.0, 1, 1.0, np.float64(1.0), -0.0, 0.0, 1, 2.5, True, np.int64(1), 0, -0.0]
+
+
+class TestCsv:
+    def test_equal_values_that_render_differently_stay_apart(self):
+        ds = FigureDataset("mixed", {"a": MIXED, "b": list(reversed(MIXED))}, {"x": 1})
+        rows = to_csv(ds).splitlines()[2:]
+        assert rows == unmemoised_csv_rows(ds)
+        assert [r.split(",")[0] for r in rows[:5]] == ["0.0", "-0.0", "1", "1.0", "1.0"]
+
+    def test_repeated_and_string_columns(self):
+        ts = np.linspace(-1.0, 1.0, 7)
+        ds = FigureDataset(
+            "landscape",
+            {"t": np.repeat(ts, 7).tolist(), "label": ["DD", "QQ"] * 24 + ["x"],
+             "v": np.sin(np.arange(49.0)).tolist()},
+            {},
+        )
+        assert to_csv(ds).splitlines()[2:] == unmemoised_csv_rows(ds)
+
+    def test_no_columns(self):
+        assert to_csv(FigureDataset("empty", {}, {})) == '# meta: {"kind":"empty"}\n\n'
+
+
+class TestJson:
+    @pytest.mark.parametrize(
+        "columns,metadata",
+        [
+            ({"z": [1.5, -2.0, 7.0], "a": [0.1, 1e-20, 1e300]}, {"b": 1, "a": [1, 2]}),
+            ({"label": ['say "hi"', "naïve", "∑ π", "back\\slash", "tab\there"]},
+             {"note": "été"}),
+            ({"a": [], "b": []}, {}),
+            ({}, {"only": "metadata"}),
+            ({"v": [math.nan, math.inf, -math.inf, np.float64(math.nan), 0.0]}, {}),
+            ({"n": [0, 1, -3, np.int64(4), True] * 2 + [-0.0, 1.0, 2], "m": MIXED}, {}),
+            ({"x": [1.0]}, {"nested": {"z": [1, {"c": None, "a": [True, 2.5]}], "a": {}},
+                            "empty": [], "t": [3.0, 0.0, 5.0, 1.0]}),
+        ],
+    )
+    def test_matches_json_dumps(self, columns, metadata):
+        ds = FigureDataset("kïnd", columns, metadata)
+        assert to_json(ds) == oracle_json(ds)
+
+    def test_round_trips_through_json_loads(self):
+        ds = FigureDataset("sweep", {"g": [0.0, 0.5], "label": ["DD", "QQ"]}, {"seed": 7})
+        payload = json.loads(render(ds, "json"))
+        assert payload == {"kind": "sweep", "metadata": {"seed": 7},
+                           "columns": {"g": [0.0, 0.5], "label": ["DD", "QQ"]}}
+
+
+class TestGoldenFixtures:
+    """Files written by an earlier version must still regenerate byte for byte."""
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [
+            ("landscape", "landscape_fig3_11.csv"),
+            ("landscape", "landscape_fig3_11.json"),
+            ("sweep", "sweep_seed7.csv"),
+            ("sweep", "sweep_seed7.json"),
+        ],
+    )
+    def test_replay(self, command, name):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, "--replay", str(DATA / name)]) == 0
+        assert "regenerates byte-identically" in out.getvalue()
+
+    def test_equilibria_regenerates(self):
+        text = (DATA / "equilibria_g0.6_21x11.csv").read_text(encoding="utf-8")
+        meta = read_metadata(text)
+        assert meta.pop("kind") == "equilibria"
+        assert render(build_equilibria_dataset(meta), meta["format"]) == text

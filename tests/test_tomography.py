@@ -112,6 +112,14 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="unconstrained directions.*X"):
             reconstruct(records)
 
+    def test_rank_deficient_subset_raises_on_every_call(self):
+        records = tomography_records(BELL_LIKE, 0.0)
+        subset = [r for r in records if r.setting.bob_rotation == "none"]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rank deficient"):
+                reconstruct(subset)
+        assert np.allclose(reconstruct(records).rho_hat, BELL_LIKE, atol=1e-9)
+
     def test_no_records_is_an_error(self):
         with pytest.raises(ValueError):
             reconstruct([])
