@@ -210,8 +210,8 @@ def build_nmr_report(
         "noise_angle": noise_angle,
         "seed": seed,
         "pulse_sequences": sequences,
-        "density_matrix_re": [[float(v) for v in row] for row in rho.real],
-        "density_matrix_im": [[float(v) for v in row] for row in rho.imag],
+        "density_matrix_re": rho.real.tolist(),
+        "density_matrix_im": rho.imag.tolist(),
         "payoff_a": pa,
         "payoff_b": pb,
         "duration_s": duration,
@@ -244,8 +244,8 @@ def build_tomo_report(
         "payoff_b": pb,
         "residual_norm": result.residual_norm,
         "projected": result.projected,
-        "rho_hat_re": [[float(v) for v in row] for row in result.rho_hat.real],
-        "rho_hat_im": [[float(v) for v in row] for row in result.rho_hat.imag],
+        "rho_hat_re": result.rho_hat.real.tolist(),
+        "rho_hat_im": result.rho_hat.imag.tolist(),
     }
     return report, records_to_text(records)
 
@@ -264,6 +264,9 @@ def _replay(path: str, expected_kind: str) -> int:
         regenerated = render(_BUILDERS[kind](meta), meta["format"])
     except KeyError as exc:
         raise ValueError(f"file {path}: embedded metadata lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"file {path}: embedded metadata has a value of the wrong type "
+                         f"({exc})") from None
     if regenerated == original:
         print(f"replay ok: {path} regenerates byte-identically")
         return 0

@@ -47,6 +47,13 @@ def format_number(x) -> str:
     )
 
 
+def format_exact(x: float, min_digits: int | None = None) -> str:
+    """Shortest positional rendering that reads back as the same float."""
+    return np.format_float_positional(
+        x, unique=True, fractional=False, trim="-", min_digits=min_digits
+    )
+
+
 def _column_cells(values, fmt) -> list[str]:
     """fmt(v) for each value, formatting each distinct nonzero float once."""
     memo = {}

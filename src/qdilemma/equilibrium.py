@@ -141,10 +141,6 @@ def thresholds(table: PayoffTable = DEFAULT_TABLE) -> ThresholdPair:
     expressions are pinned by a brute-force regime scan in the test suite.
     """
     r, s, t, p = table.as_tuple()
-    if p >= t:
-        raise ValueError("punishment must be smaller than temptation")
-    if r >= t:
-        raise ValueError("reward must be smaller than temptation")
     x1 = (p - s) / (t - s)
     x2 = (t - r) / (t - s)
     if x1 > x2:
@@ -183,8 +179,8 @@ def find_nash_grid(
     exact threshold boundaries is reported, not suppressed.  The report is
     assembled in lexicographic pair order regardless of evaluation order.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
     tt, pp = grid.angles()
     features = strategy_features(tt, pp)
     form = payoff_form(gamma, table)
@@ -220,15 +216,15 @@ def nash_payoff_curve(
     """
     if gammas is None:
         gammas = sweep_gammas()
-    th = thresholds(table)
     r, s, t, p = table.as_tuple()
     rows: list[tuple[float, str, float]] = []
     for gamma in gammas:
         gamma = validate_gamma(gamma)
-        sg2 = math.sin(gamma) ** 2
-        if gamma >= th.gamma_th2:
+        regime = classify_regime(gamma, table)
+        if regime == REGIME_QUANTUM:
             rows.append((gamma, "QQ", float(r)))
-        elif gamma >= th.gamma_th1:
+        elif regime == REGIME_INTERMEDIATE:
+            sg2 = math.sin(gamma) ** 2
             rows.append((gamma, "DQ", t * (1 - sg2) + s * sg2))
             rows.append((gamma, "QD", s * (1 - sg2) + t * sg2))
         else:

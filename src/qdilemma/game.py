@@ -59,6 +59,9 @@ class PayoffTable:
     punishment: float = 1.0
 
     def __post_init__(self):
+        for name, value in zip(("reward", "sucker", "temptation", "punishment"), self.as_tuple()):
+            if not math.isfinite(value):
+                raise ValueError(f"payoff table entry {name} must be finite, got {value}")
         if not (self.temptation > self.reward > self.punishment > self.sucker):
             raise ValueError(
                 "not a Prisoner's Dilemma: need temptation > reward > punishment > sucker, "

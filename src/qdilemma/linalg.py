@@ -6,24 +6,14 @@ the left (most significant) tensor factor.  C maps to |0> and D to |1>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Global numeric policy for exact-arithmetic identities.
-
-    atol covers unitarity, normalization, Hermiticity and trace checks;
-    eigenvalue_floor is the slack allowed below zero for density matrices.
-    """
-
-    atol: float = 1e-12
-    eigenvalue_floor: float = 1e-10
-
-
-TOL = Tolerances()
+# Slack for exact-arithmetic identities: unitarity, Hermiticity and trace.
+ATOL = 1e-12
+# Slack allowed below zero for a density matrix's eigenvalues.
+EIGENVALUE_FLOOR = 1e-10
 
 BASIS_LABELS = ("CC", "CD", "DC", "DD")
 
@@ -40,6 +30,8 @@ KET_DD = np.array([0, 0, 0, 1], dtype=complex)
 for _m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, KET_CC, KET_CD, KET_DC, KET_DD):
     _m.setflags(write=False)
 
+_AXIS_OPERATOR = {"x": SIGMA_X, "-x": -SIGMA_X, "y": SIGMA_Y, "-y": -SIGMA_Y}
+
 
 def _as_complex(a, shape, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
@@ -50,50 +42,19 @@ def _as_complex(a, shape, name: str) -> np.ndarray:
     return arr
 
 
-def is_unitary(u: np.ndarray, atol: float = TOL.atol) -> bool:
+def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
     u = np.asarray(u, dtype=complex)
     return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= atol)
-
-
-def unitary2(entries) -> np.ndarray:
-    """Validate and freeze a 2x2 unitary (U Udag = I within tolerance)."""
-    u = _as_complex(entries, (2, 2), "unitary2")
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary within tolerance")
-    u.setflags(write=False)
-    return u
-
-
-def unitary4(entries) -> np.ndarray:
-    """Validate and freeze a 4x4 unitary."""
-    u = _as_complex(entries, (4, 4), "unitary4")
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary within tolerance")
-    u.setflags(write=False)
-    return u
-
-
-def state_vector(amplitudes) -> np.ndarray:
-    """Validate and freeze a normalized two-qubit state in the CC,CD,DC,DD basis.
-
-    Rejects (rather than renormalizes) unnormalized input: silent
-    renormalization would mask compiler and simulator bugs upstream.
-    """
-    s = _as_complex(amplitudes, (4,), "state_vector")
-    if abs(np.vdot(s, s).real - 1.0) > TOL.atol:
-        raise ValueError("state vector is not normalized within tolerance")
-    s.setflags(write=False)
-    return s
 
 
 def density_matrix(entries) -> np.ndarray:
     """Validate and freeze a 4x4 density matrix (Hermitian, trace 1, PSD)."""
     rho = _as_complex(entries, (4, 4), "density_matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > TOL.atol:
+    if np.max(np.abs(rho - rho.conj().T)) > ATOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > TOL.atol:
+    if abs(np.trace(rho).real - 1.0) > ATOL:
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -TOL.eigenvalue_floor:
+    if np.linalg.eigvalsh(rho).min() < -EIGENVALUE_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     rho.setflags(write=False)
     return rho
@@ -105,7 +66,19 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_complex(b, (2, 2), "tensor second factor")
     if not (is_unitary(a) and is_unitary(b)):
         raise ValueError("tensor factors must be unitary")
-    return np.kron(a, b)
+    return kron2(a, b)
+
+
+def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 factors: the same products, without kron's
+    generic-shape set-up, which dominated a pulse's cost."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
+def rotation(angle_rad: float, axis: str) -> np.ndarray:
+    """Single-spin rotation exp(-i angle sigma_axis / 2), axis in x, -x, y, -y."""
+    op = _AXIS_OPERATOR[axis]
+    return math.cos(angle_rad / 2) * I2 - 1j * math.sin(angle_rad / 2) * op
 
 
 def apply(u: np.ndarray, s: np.ndarray) -> np.ndarray:

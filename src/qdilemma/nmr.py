@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import format_exact
 from .equilibrium import (
     REGIME_CLASSICAL,
     REGIME_INTERMEDIATE,
@@ -24,19 +25,12 @@ from .game import (
     PayoffTable,
     validate_gamma,
 )
-from .linalg import I2, KET_CC, SIGMA_X, SIGMA_Y
+from .linalg import I2, KET_CC, kron2, rotation
 
 NOMINAL_PULSE_WIDTH_S = 1e-3
 
 AXES = ("x", "-x", "y", "-y")
 TARGETS = ("alice", "bob", "both")
-
-_AXIS_OPERATOR = {
-    "x": SIGMA_X,
-    "-x": -SIGMA_X,
-    "y": SIGMA_Y,
-    "-y": -SIGMA_Y,
-}
 
 
 @dataclass(frozen=True)
@@ -121,12 +115,6 @@ def delay(seconds: float) -> PulsePrimitive:
     return PulsePrimitive(kind="free_evolution", duration_s=float(seconds))
 
 
-def _fmt(x: float, min_digits: int | None = None) -> str:
-    return np.format_float_positional(
-        x, unique=True, fractional=False, trim="-", min_digits=min_digits
-    )
-
-
 @dataclass(frozen=True)
 class PulseSequence:
     primitives: tuple[PulsePrimitive, ...]
@@ -150,9 +138,9 @@ class PulseSequence:
         lines = []
         for p in self.primitives:
             if p.kind == "rotation":
-                lines.append(f"PULSE {p.target} {_fmt(p.angle_deg)}deg {p.phase_axis}")
+                lines.append(f"PULSE {p.target} {format_exact(p.angle_deg)}deg {p.phase_axis}")
             else:
-                lines.append(f"DELAY {_fmt(p.duration_s, min_digits=9)}")
+                lines.append(f"DELAY {format_exact(p.duration_s, min_digits=9)}")
         return "\n".join(lines) + "\n"
 
 
@@ -172,6 +160,14 @@ def sequence_from_text(text: str, label: str = "") -> PulseSequence:
     return PulseSequence(primitives=tuple(prims), label=label)
 
 
+def _coupling_sequence(t: float, label: str) -> PulseSequence:
+    """90x on both spins, z-z evolution for t seconds, 90(-x) on both spins."""
+    return PulseSequence(
+        primitives=(pulse("both", 90, "x"), delay(t), pulse("both", 90, "-x")),
+        label=label,
+    )
+
+
 def compile_entangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> PulseSequence:
     """Entangling gate as 90x on both spins, z-z evolution for
     gamma / (pi J) seconds, then 90(-x) on both spins.
@@ -181,10 +177,7 @@ def compile_entangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> Puls
     """
     gamma = validate_gamma(gamma)
     t = gamma / (math.pi * system.j_coupling)
-    return PulseSequence(
-        primitives=(pulse("both", 90, "x"), delay(t), pulse("both", 90, "-x")),
-        label=f"entangler gamma={_fmt(gamma)}",
-    )
+    return _coupling_sequence(t, f"entangler gamma={format_exact(gamma)}")
 
 
 def compile_disentangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> PulseSequence:
@@ -195,10 +188,7 @@ def compile_disentangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> P
     # computed as the complement of the entangler period so the pair always
     # sums to exactly 2/J in floating point as well
     t = 2 / system.j_coupling - gamma / (math.pi * system.j_coupling)
-    return PulseSequence(
-        primitives=(pulse("both", 90, "x"), delay(t), pulse("both", 90, "-x")),
-        label=f"disentangler gamma={_fmt(gamma)}",
-    )
+    return _coupling_sequence(t, f"disentangler gamma={format_exact(gamma)}")
 
 
 def compile_strategies(
@@ -219,7 +209,7 @@ def compile_strategies(
     if regime == REGIME_CLASSICAL:
         return PulseSequence(
             primitives=(pulse("both", 180, "y"),),
-            label=f"strategies DD gamma={_fmt(gamma)}",
+            label=f"strategies DD gamma={format_exact(gamma)}",
         )
     if regime == REGIME_INTERMEDIATE:
         if not system.selective_addressing:
@@ -233,7 +223,7 @@ def compile_strategies(
                 pulse(quantum_player, 180, "x"),
                 pulse(quantum_player, 90, "y"),
             ),
-            label=f"strategies {name} gamma={_fmt(gamma)}",
+            label=f"strategies {name} gamma={format_exact(gamma)}",
         )
     return PulseSequence(
         primitives=(
@@ -241,13 +231,8 @@ def compile_strategies(
             pulse("both", 180, "x"),
             pulse("both", 90, "y"),
         ),
-        label=f"strategies QQ gamma={_fmt(gamma)}",
+        label=f"strategies QQ gamma={format_exact(gamma)}",
     )
-
-
-def _rotation_1q(angle_rad: float, axis: str) -> np.ndarray:
-    op = _AXIS_OPERATOR[axis]
-    return math.cos(angle_rad / 2) * I2 - 1j * math.sin(angle_rad / 2) * op
 
 
 def _free_evolution_unitary(j_hz: float, t: float) -> np.ndarray:
@@ -279,20 +264,14 @@ class _NoiseDraw:
         return nominal_rad * scale
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 2x2 factors: the same products, without kron's
-    generic-shape set-up, which dominated a pulse's cost."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
 def _primitive_unitary(p: PulsePrimitive, system: SpinSystem, draw: _NoiseDraw) -> np.ndarray:
     if p.kind == "rotation":
-        r = _rotation_1q(draw.angle(math.radians(p.angle_deg)), p.phase_axis)
+        r = rotation(draw.angle(math.radians(p.angle_deg)), p.phase_axis)
         if p.target == "alice":
-            return _kron2(r, I2)
+            return kron2(r, I2)
         if p.target == "bob":
-            return _kron2(I2, r)
-        return _kron2(r, r)
+            return kron2(I2, r)
+        return kron2(r, r)
     if p.duration_s < 0:
         raise ValueError("free evolution duration must be non-negative")
     return _free_evolution_unitary(system.j_coupling * draw.j_factor, p.duration_s)
@@ -317,6 +296,20 @@ def _damp_coherences(rho: np.ndarray, dt: float, t2: float) -> np.ndarray:
     return lam * rho + (1 - lam) * diag
 
 
+def _run_sequences(
+    gamma: float,
+    strategy_seq: PulseSequence | None,
+    system: SpinSystem,
+    table: PayoffTable,
+) -> tuple[PulseSequence, PulseSequence, PulseSequence]:
+    """Entangler, strategies and disentangler of one run; without strategy_seq
+    the strategies are the equilibrium recipe for this gamma and table."""
+    gamma = validate_gamma(gamma)
+    if strategy_seq is None:
+        strategy_seq = compile_strategies(gamma, table, system)
+    return compile_entangler(gamma, system), strategy_seq, compile_disentangler(gamma, system)
+
+
 def run_experiment(
     gamma: float,
     strategy_seq: PulseSequence | None = None,
@@ -334,14 +327,7 @@ def run_experiment(
     are spawned from one seed, so a run is bit-reproducible.  T2 damping of
     coherences (rate 1/t2 over each primitive's duration) is off by default.
     """
-    gamma = validate_gamma(gamma)
-    if strategy_seq is None:
-        strategy_seq = compile_strategies(gamma, table, system)
-    sequences = (
-        compile_entangler(gamma, system),
-        strategy_seq,
-        compile_disentangler(gamma, system),
-    )
+    sequences = _run_sequences(gamma, strategy_seq, system, table)
     noise = noise if noise is not None else NOISELESS
     if noise.is_noiseless:
         rngs = [None, None, None]
@@ -372,14 +358,7 @@ def experiment_duration(
     The free-evolution part is 2/J independent of gamma, since the entangler
     and disentangler periods always sum to a full coupling cycle.
     """
-    gamma = validate_gamma(gamma)
-    if strategy_seq is None:
-        strategy_seq = compile_strategies(gamma, table, system)
     return sum(
         seq.total_duration(pulse_width)
-        for seq in (
-            compile_entangler(gamma, system),
-            strategy_seq,
-            compile_disentangler(gamma, system),
-        )
+        for seq in _run_sequences(gamma, strategy_seq, system, table)
     )

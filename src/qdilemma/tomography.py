@@ -18,16 +18,13 @@ from itertools import product
 
 import numpy as np
 
+from .datasets import format_exact
 from .game import DEFAULT_TABLE, PayoffTable, payoffs_from_probabilities
-from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, TOL, density_matrix
+from .linalg import EIGENVALUE_FLOOR, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, density_matrix, kron2, rotation
 
 ROTATION_CHOICES = ("none", "x90", "y90")
 
-_ROTATION_1Q = {
-    "none": I2,
-    "x90": math.cos(math.pi / 4) * I2 - 1j * math.sin(math.pi / 4) * SIGMA_X,
-    "y90": math.cos(math.pi / 4) * I2 - 1j * math.sin(math.pi / 4) * SIGMA_Y,
-}
+_ROTATION_1Q = {"none": I2, "x90": rotation(math.pi / 2, "x"), "y90": rotation(math.pi / 2, "y")}
 
 OBSERVABLE_IDS = ("pop_cc", "pop_cd", "pop_dc", "pop_dd", "z_alice", "z_bob")
 
@@ -36,7 +33,7 @@ _PAULI_1Q = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 PARAM_LABELS = tuple(
     a + b for a, b in product("IXYZ", repeat=2) if (a, b) != ("I", "I")
 )
-_PARAM_MATRICES = [np.kron(_PAULI_1Q[l[0]], _PAULI_1Q[l[1]]) for l in PARAM_LABELS]
+_PARAM_MATRICES = [kron2(_PAULI_1Q[l[0]], _PAULI_1Q[l[1]]) for l in PARAM_LABELS]
 
 
 @dataclass(frozen=True)
@@ -95,19 +92,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 _SETTING_UNITARIES = {
-    s.id: _read_only(np.kron(_ROTATION_1Q[s.alice_rotation], _ROTATION_1Q[s.bob_rotation]))
+    s.id: _read_only(kron2(_ROTATION_1Q[s.alice_rotation], _ROTATION_1Q[s.bob_rotation]))
     for s in ALL_SETTINGS
 }
 
 
-def _observables() -> list[np.ndarray]:
-    projectors = [np.zeros((4, 4), dtype=complex) for _ in range(4)]
-    for k in range(4):
-        projectors[k][k, k] = 1.0
-    return projectors + [np.kron(SIGMA_Z, I2), np.kron(I2, SIGMA_Z)]
-
-
-_OBSERVABLES = _observables()
+# The four basis-state projectors, then sigma_z on Alice's and on Bob's spin.
+_OBSERVABLES = [np.diag(e).astype(complex) for e in np.eye(4)] + [
+    kron2(SIGMA_Z, I2), kron2(I2, SIGMA_Z)
+]
 
 
 def simulate_readout(
@@ -221,7 +214,7 @@ def reconstruct(records) -> ReconstructionResult:
     raw.setflags(write=False)
 
     eigvals = np.linalg.eigvalsh(rho)
-    projected = bool(eigvals.min() < -TOL.eigenvalue_floor)
+    projected = bool(eigvals.min() < -EIGENVALUE_FLOOR)
     if projected:
         vals, vecs = np.linalg.eigh(rho)
         vals = np.clip(vals, 0.0, None)
@@ -242,17 +235,13 @@ def payoff_from_density(
     return payoffs_from_probabilities(np.asarray(rho, dtype=complex).diagonal().real, table)
 
 
-def _fmt(x: float) -> str:
-    return np.format_float_positional(x, unique=True, fractional=False, trim="-")
-
-
 def records_to_text(records) -> str:
     """Columnar form (setting id, observable id, value), one value per line."""
     records = list(records)
-    lines = [f"# noise_sigma {_fmt(records[0].noise_sigma if records else 0.0)}"]
+    lines = [f"# noise_sigma {format_exact(records[0].noise_sigma if records else 0.0)}"]
     for r in records:
         for obs_id, value in zip(OBSERVABLE_IDS, r.observed_values):
-            lines.append(f"{r.setting.id} {obs_id} {_fmt(value)}")
+            lines.append(f"{r.setting.id} {obs_id} {format_exact(value)}")
     return "\n".join(lines) + "\n"
 
 

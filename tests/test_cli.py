@@ -41,6 +41,20 @@ class TestThresholdsCommand:
     def test_non_dilemma_table_is_input_error(self, capsys):
         assert run_cli("thresholds", "--table", "3,0,5,6") == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("thresholds", "--table=3,0,inf,1"),
+            ("thresholds", "--table=3,-inf,5,1"),
+            ("landscape", "--table=3,0,inf,1", "--gamma", "0.5"),
+        ],
+    )
+    def test_non_finite_table_is_input_error(self, tmp_path, capsys, args):
+        out = str(tmp_path / "x.csv")
+        assert run_cli(*args, "--out", out) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestEquilibriaCommand:
     @pytest.mark.parametrize(
@@ -55,6 +69,13 @@ class TestEquilibriaCommand:
         assert meta["equilibrium_count"] == count
         rows = [l for l in text.splitlines() if l and not l.startswith("#")][1:]
         assert len(rows) == count
+
+    def test_nan_tol_is_input_error(self, tmp_path, capsys):
+        out = str(tmp_path / "eq.csv")
+        assert run_cli("equilibria", "--gamma", "0.6", "--grid", "21x11", "--tol", "nan",
+                       "--out", out) == 1
+        assert "tol must be a positive finite number" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestLandscapeCommand:
@@ -160,6 +181,27 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli(command, "--replay", out) == 1
         assert f"error: file {out}: embedded metadata lacks key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,args,key,value",
+        [
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "steps", "3"),
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "table", "3,0,5,1"),
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", [0.5]),
+        ],
+    )
+    def test_replay_names_wrong_typed_metadata(self, tmp_path, capsys, command, args, key, value):
+        out = str(tmp_path / "d.csv")
+        assert run_cli(command, *args, "--out", out) == 0
+        meta_line, rest = read(out).split("\n", 1)
+        meta = json.loads(meta_line[len("# meta: "):])
+        meta[key] = value
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("# meta: " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert run_cli(command, "--replay", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: file {out}: embedded metadata has a value of the wrong type" in err
 
 
 class TestNmrCommand:

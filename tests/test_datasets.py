@@ -124,6 +124,22 @@ class TestGoldenFixtures:
             assert main([command, "--replay", str(DATA / name)]) == 0
         assert "regenerates byte-identically" in out.getvalue()
 
+    @pytest.mark.parametrize(
+        "args,name,companion",
+        [
+            (("nmr", "--gamma", "0.6", "--noise-angle", "0.05", "--seed", "3"),
+             "nmr_g0.6_noise0.05_seed3.json", ".pulses.txt"),
+            (("tomo", "--gamma", "0.6", "--noise-readout", "0.03", "--noise-angle", "0.05",
+              "--seed", "3"), "tomo_g0.6_readout0.03_noise0.05_seed3.json", ".records.txt"),
+        ],
+    )
+    def test_report_and_listing_regenerate(self, tmp_path, args, name, companion):
+        out = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*args, "--out", str(out)]) == 0
+        for suffix in ("", companion):
+            assert Path(f"{out}{suffix}").read_bytes() == (DATA / f"{name}{suffix}").read_bytes()
+
     def test_equilibria_regenerates(self):
         text = (DATA / "equilibria_g0.6_21x11.csv").read_text(encoding="utf-8")
         meta = read_metadata(text)

@@ -240,6 +240,11 @@ class TestFindNashGrid:
         with pytest.raises(ValueError):
             find_nash_grid(0.0, FAST_GRID, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_tol_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            find_nash_grid(0.0, FAST_GRID, tol=tol)
+
     def test_deterministic_ordering(self):
         th = thresholds()
         g = (th.gamma_th1 + th.gamma_th2) / 2

@@ -254,6 +254,19 @@ class TestPayoffTable:
         with pytest.raises(ValueError):
             PayoffTable(reward=3, sucker=0, temptation=5, punishment=5)
 
+    @pytest.mark.parametrize(
+        "entries,name",
+        [
+            ((3, 0, math.inf, 1), "temptation"),
+            ((3, -math.inf, 5, 1), "sucker"),
+            ((math.nan, 0, 5, 1), "reward"),
+            ((3, 0, 5, math.nan), "punishment"),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, entries, name):
+        with pytest.raises(ValueError, match=f"entry {name} must be finite"):
+            PayoffTable(*entries)
+
 
 def test_sweep_gammas():
     gs = sweep_gammas()

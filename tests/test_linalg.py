@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,17 @@ from qdilemma.linalg import (
     KET_CC,
     KET_DC,
     KET_DD,
+    SIGMA_X,
+    SIGMA_Y,
     apply,
     density_from_state,
     density_matrix,
     fidelity_up_to_phase,
+    kron2,
     probabilities,
-    state_vector,
+    rotation,
     tensor,
     trace_distance,
-    unitary2,
-    unitary4,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -149,24 +152,40 @@ class TestFidelityUpToPhase:
             assert fidelity_up_to_phase(u, u) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestKron2:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_np_kron_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        for x, y in ((a, b), (a, I2), (I2, b), (a, a)):
+            assert np.array_equal(kron2(x, y), np.kron(x, y))
+
+
+class TestRotation:
+    def test_half_turns(self):
+        np.testing.assert_allclose(rotation(math.pi, "x"), -1j * SIGMA_X, atol=1e-15)
+        np.testing.assert_allclose(rotation(math.pi, "-y"), 1j * SIGMA_Y, atol=1e-15)
+
+    def test_quarter_turn_is_exact(self):
+        # the readout tips were written out as cos(pi/4) I - i sin(pi/4) sigma
+        for axis, sigma in (("x", SIGMA_X), ("y", SIGMA_Y)):
+            expected = math.cos(math.pi / 4) * I2 - 1j * math.sin(math.pi / 4) * sigma
+            assert np.array_equal(rotation(math.pi / 2, axis), expected)
+            assert np.array_equal(rotation(math.radians(90), axis), expected)
+
+    def test_negative_axis_reverses_the_turn(self):
+        for axis in ("x", "y"):
+            np.testing.assert_allclose(rotation(0.7, "-" + axis), rotation(-0.7, axis), atol=1e-15)
+
+
 class TestConstructors:
-    def test_unitary_validation(self):
-        unitary2(I2)
-        unitary4(np.eye(4))
-        with pytest.raises(ValueError):
-            unitary2(1.0001 * I2)
-        with pytest.raises(ValueError):
-            unitary4(np.diag([1, 1, 1, 1.001]))
-
-    def test_state_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            state_vector([1, 0, 0, 1e-5])
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            state_vector([np.nan, 0, 0, 0])
+            apply(np.eye(4), [np.nan, 0, 0, 0])
         with pytest.raises(ValueError):
-            unitary2([[np.inf, 0], [0, 1]])
+            tensor([[np.inf, 0], [0, 1]], I2)
+        with pytest.raises(ValueError):
+            density_matrix(np.diag([np.nan, 1.0, 0, 0]))
 
     def test_density_validation(self):
         density_matrix(np.diag([0.5, 0.5, 0, 0]))
@@ -180,9 +199,9 @@ class TestConstructors:
             density_matrix(np.diag([1.2, -0.2, 0, 0]))  # negative eigenvalue
 
     def test_constructors_freeze(self):
-        s = state_vector([1, 0, 0, 0])
+        rho = density_matrix(np.diag([1.0, 0, 0, 0]))
         with pytest.raises(ValueError):
-            s[0] = 0
+            rho[0, 0] = 0
 
 
 def test_trace_distance():

@@ -13,10 +13,8 @@ from qdilemma.game import (
     strategy_unitary,
     sweep_gammas,
 )
-from qdilemma.linalg import I2, KET_CC, fidelity_up_to_phase
+from qdilemma.linalg import I2, KET_CC, fidelity_up_to_phase, rotation
 from qdilemma.nmr import (
-    _kron2,
-    _rotation_1q,
     DEFAULT_SYSTEM,
     NOISELESS,
     NoiseModel,
@@ -153,11 +151,7 @@ class TestSequenceUnitary:
 
     @pytest.mark.parametrize("target", ["alice", "bob", "both"])
     def test_two_spin_product_equals_kron_exactly(self, target):
-        rng = np.random.default_rng(["alice", "bob", "both"].index(target))
-        r = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        a, b = {"alice": (r, I2), "bob": (I2, r), "both": (r, r)}[target]
-        assert np.array_equal(_kron2(a, b), np.kron(a, b))
-        rot = _rotation_1q(math.radians(37.0), "-y")
+        rot = rotation(math.radians(37.0), "-y")
         a, b = {"alice": (rot, I2), "bob": (I2, rot), "both": (rot, rot)}[target]
         seq = PulseSequence(primitives=(pulse(target, 37.0, "-y"),))
         assert np.array_equal(sequence_unitary(seq), np.kron(a, b) @ np.eye(4, dtype=complex))
