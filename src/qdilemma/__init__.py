@@ -45,14 +45,14 @@ from .linalg import (
     density_from_state,
     fidelity_up_to_phase,
     probabilities,
-    tensor,
     trace_distance,
 )
 from .nmr import (
     DEFAULT_SYSTEM,
     NOISELESS,
     NoiseModel,
-    PulsePrimitive,
+    Delay,
+    Pulse,
     PulseSequence,
     SpinSystem,
     compile_disentangler,

@@ -24,7 +24,6 @@ from .equilibrium import (
 from .game import DEFAULT_TABLE, PayoffTable, sweep_gammas, validate_gamma
 from .nmr import (
     DEFAULT_SYSTEM,
-    NOMINAL_PULSE_WIDTH_S,
     NoiseModel,
     SpinSystem,
     compile_disentangler,
@@ -76,6 +75,17 @@ def _preset_gamma(name: str, table: PayoffTable) -> float:
     if name == "fig4":
         return (th.gamma_th2 + math.pi / 2) / 2
     raise ValueError(f"unknown preset {name!r} (expected one of {PRESETS})")
+
+
+def _seed(raw: str) -> int:
+    """argparse type of --seed: SeedSequence takes only non-negative integers."""
+    try:
+        seed = int(raw)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a non-negative integer")
 
 
 def _row_seeds(seed: int, index: int) -> tuple[int, int]:
@@ -183,14 +193,13 @@ def build_nmr_report(
     seed: int = 0,
     table: PayoffTable = DEFAULT_TABLE,
     system: SpinSystem = DEFAULT_SYSTEM,
-    pulse_width: float = NOMINAL_PULSE_WIDTH_S,
 ) -> dict:
     gamma = validate_gamma(gamma)
     strategy_seq = compile_strategies(gamma, table)
     noise = NoiseModel(rotation_angle_error=noise_angle, seed=seed)
-    rho = run_experiment(gamma, strategy_seq, system, noise, table, pulse_width=pulse_width)
+    rho = run_experiment(gamma, strategy_seq, system, noise, table)
     pa, pb = payoff_from_density(rho, table)
-    duration = experiment_duration(gamma, strategy_seq, system, table, pulse_width)
+    duration = experiment_duration(gamma, strategy_seq, system, table)
     warnings = []
     if duration >= DURATION_BUDGET_S:
         warnings.append(
@@ -408,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="custom sweep value (repeatable); default n*pi/36 for n=0..18")
     p.add_argument("--noise-angle", type=float, default=0.05)
     p.add_argument("--noise-readout", type=float, default=0.03)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--replay", metavar="FILE",
                    help="regenerate FILE from its embedded config and verify bytes match")
@@ -431,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nmr", help="compile and execute the pulse-level experiment")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--noise-angle", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="nmr.json")
     common(p, fmt=False)
     p.set_defaults(func=_cmd_nmr)
@@ -440,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--noise-readout", type=float, default=0.0)
     p.add_argument("--noise-angle", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="tomo.json")
     common(p, fmt=False)
     p.set_defaults(func=_cmd_tomo)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-# Slack for exact-arithmetic identities: unitarity, Hermiticity and trace.
+# Slack for exact-arithmetic identities: Hermiticity and trace.
 ATOL = 1e-12
 # Slack allowed below zero for a density matrix's eigenvalues.
 EIGENVALUE_FLOOR = 1e-10
@@ -42,11 +42,6 @@ def _as_complex(a, shape, name: str) -> np.ndarray:
     return arr
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
-    u = np.asarray(u, dtype=complex)
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= atol)
-
-
 def density_matrix(entries) -> np.ndarray:
     """Validate and freeze a 4x4 density matrix (Hermitian, trace 1, PSD)."""
     rho = _as_complex(entries, (4, 4), "density_matrix")
@@ -58,15 +53,6 @@ def density_matrix(entries) -> np.ndarray:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     rho.setflags(write=False)
     return rho
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor acting on Alice's qubit."""
-    a = _as_complex(a, (2, 2), "tensor first factor")
-    b = _as_complex(b, (2, 2), "tensor second factor")
-    if not (is_unitary(a) and is_unitary(b)):
-        raise ValueError("tensor factors must be unitary")
-    return kron2(a, b)
 
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

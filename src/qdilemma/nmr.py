@@ -3,7 +3,7 @@
 Gates compile to hard pulses plus free evolution under the weak-coupling
 Hamiltonian H = (pi J / 2) sigma_z x sigma_z (rotating frame on resonance
 for both spins, so chemical shifts drop out).  Rotations are instantaneous
-unitaries; a nominal per-pulse width enters only duration accounting and
+unitaries; the fixed nominal pulse width enters only duration accounting and
 the optional T2 damping.
 """
 
@@ -53,8 +53,10 @@ DEFAULT_SYSTEM = SpinSystem()
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Pulse imperfections: per-pulse fractional angle error plus a per-run
-    field-inhomogeneity spread on both the coupling and the pulse angles."""
+    """Pulse imperfections: a fractional angle error drawn for every pulse,
+    and a field-inhomogeneity spread drawn once per run that scales the
+    coupling and every pulse angle of the run.  `run_experiment` gives the
+    draw order that `seed` pins."""
 
     rotation_angle_error: float = 0.0
     field_inhomogeneity: float = 0.0
@@ -75,49 +77,39 @@ NOISELESS = NoiseModel()
 
 
 @dataclass(frozen=True)
-class PulsePrimitive:
-    """One rotation pulse or one free-evolution period.
+class Pulse:
+    """Hard rotation by angle_deg about phase_axis on one spin or both.  Every
+    pulse lasts NOMINAL_PULSE_WIDTH_S, a class constant rather than a field."""
 
-    Rotations carry (target, angle, axis) and no duration; free evolution
-    carries only a duration.
-    """
+    target: str
+    angle_deg: float
+    phase_axis: str
 
-    kind: str  # "rotation" | "free_evolution"
-    target: str | None = None
-    angle_deg: float | None = None
-    phase_axis: str | None = None
-    duration_s: float | None = None
+    duration_s = NOMINAL_PULSE_WIDTH_S
 
     def __post_init__(self):
-        if self.kind == "rotation":
-            if self.target not in TARGETS:
-                raise ValueError(f"rotation target must be one of {TARGETS}")
-            if self.phase_axis not in AXES:
-                raise ValueError(f"rotation axis must be one of {AXES}")
-            if self.angle_deg is None or not math.isfinite(self.angle_deg):
-                raise ValueError("rotation needs a finite angle")
-            if self.duration_s is not None:
-                raise ValueError("rotation must not set a duration")
-        elif self.kind == "free_evolution":
-            if self.duration_s is None or not math.isfinite(self.duration_s):
-                raise ValueError("free evolution needs a finite duration")
-            if self.angle_deg is not None or self.phase_axis is not None:
-                raise ValueError("free evolution must not set angle or axis")
-        else:
-            raise ValueError(f"unknown primitive kind {self.kind!r}")
+        if self.target not in TARGETS:
+            raise ValueError(f"pulse target must be one of {TARGETS}")
+        if self.phase_axis not in AXES:
+            raise ValueError(f"pulse axis must be one of {AXES}")
+        if not math.isfinite(self.angle_deg):
+            raise ValueError("pulse needs a finite angle")
 
 
-def pulse(target: str, angle_deg: float, axis: str) -> PulsePrimitive:
-    return PulsePrimitive(kind="rotation", target=target, angle_deg=float(angle_deg), phase_axis=axis)
+@dataclass(frozen=True)
+class Delay:
+    """Free evolution under the z-z coupling for duration_s seconds."""
 
+    duration_s: float
 
-def delay(seconds: float) -> PulsePrimitive:
-    return PulsePrimitive(kind="free_evolution", duration_s=float(seconds))
+    def __post_init__(self):
+        if not 0 <= self.duration_s < math.inf:
+            raise ValueError("delay needs a finite non-negative duration")
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    primitives: tuple[PulsePrimitive, ...]
+    primitives: tuple[Pulse | Delay, ...]
     label: str = ""
 
     def __post_init__(self):
@@ -125,19 +117,17 @@ class PulseSequence:
             raise ValueError("pulse sequence must be non-empty")
 
     def free_evolution_time(self) -> float:
-        return sum(p.duration_s for p in self.primitives if p.kind == "free_evolution")
+        return sum(p.duration_s for p in self.primitives if isinstance(p, Delay))
 
-    def rotation_count(self) -> int:
-        return sum(1 for p in self.primitives if p.kind == "rotation")
-
-    def total_duration(self, pulse_width: float = NOMINAL_PULSE_WIDTH_S) -> float:
-        return self.free_evolution_time() + self.rotation_count() * pulse_width
+    def total_duration(self) -> float:
+        pulses = sum(isinstance(p, Pulse) for p in self.primitives)
+        return self.free_evolution_time() + pulses * NOMINAL_PULSE_WIDTH_S
 
     def to_text(self) -> str:
         """Line-oriented form: `PULSE <target> <angle>deg <axis>` / `DELAY <seconds>`."""
         lines = []
         for p in self.primitives:
-            if p.kind == "rotation":
+            if isinstance(p, Pulse):
                 lines.append(f"PULSE {p.target} {format_exact(p.angle_deg)}deg {p.phase_axis}")
             else:
                 lines.append(f"DELAY {format_exact(p.duration_s, min_digits=9)}")
@@ -152,9 +142,9 @@ def sequence_from_text(text: str, label: str = "") -> PulseSequence:
             continue
         parts = line.split()
         if parts[0] == "PULSE" and len(parts) == 4 and parts[2].endswith("deg"):
-            prims.append(pulse(parts[1], float(parts[2][:-3]), parts[3]))
+            prims.append(Pulse(parts[1], float(parts[2][:-3]), parts[3]))
         elif parts[0] == "DELAY" and len(parts) == 2:
-            prims.append(delay(float(parts[1])))
+            prims.append(Delay(float(parts[1])))
         else:
             raise ValueError(f"cannot parse pulse line {lineno}: {raw!r}")
     return PulseSequence(primitives=tuple(prims), label=label)
@@ -163,7 +153,7 @@ def sequence_from_text(text: str, label: str = "") -> PulseSequence:
 def _coupling_sequence(t: float, label: str) -> PulseSequence:
     """90x on both spins, z-z evolution for t seconds, 90(-x) on both spins."""
     return PulseSequence(
-        primitives=(pulse("both", 90, "x"), delay(t), pulse("both", 90, "-x")),
+        primitives=(Pulse("both", 90.0, "x"), Delay(t), Pulse("both", 90.0, "-x")),
         label=label,
     )
 
@@ -191,6 +181,14 @@ def compile_disentangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> P
     return _coupling_sequence(t, f"disentangler gamma={format_exact(gamma)}")
 
 
+# (angle_deg, axis) pulses of each equilibrium move on one spin: a 180y pulse
+# is the defect matrix up to sign, the 90(-y)-180x-90y sandwich the quantum move.
+_MOVE_PULSES = {
+    "D": ((180.0, "y"),),
+    "Q": ((90.0, "-y"), (180.0, "x"), (90.0, "y")),
+}
+
+
 def compile_strategies(
     gamma: float,
     table: PayoffTable = DEFAULT_TABLE,
@@ -199,94 +197,52 @@ def compile_strategies(
 ) -> PulseSequence:
     """Pulse recipe for the Nash-equilibrium moves at this entanglement.
 
-    Classical regime: non-selective 180y (mutual defection, since a y pulse
-    of 180 degrees is the defect matrix up to sign).  Intermediate regime:
-    selective 180y on the defector, selective 90(-y)-180x-90y sandwich (the
-    quantum move) on the other player; Alice defects unless
-    flip_intermediate.  Quantum regime: the sandwich on both spins.
+    Classical regime DD, intermediate regime DQ (QD if flip_intermediate),
+    quantum regime QQ.  Equal moves are one non-selective recipe on both
+    spins; unequal ones need selective addressing, and the defector's pulse
+    comes first.
     """
     regime = classify_regime(gamma, table)
     if regime == REGIME_CLASSICAL:
-        return PulseSequence(
-            primitives=(pulse("both", 180, "y"),),
-            label=f"strategies DD gamma={format_exact(gamma)}",
-        )
-    if regime == REGIME_INTERMEDIATE:
+        label = "DD"
+    elif regime == REGIME_INTERMEDIATE:
         if not system.selective_addressing:
             raise ValueError("intermediate-regime recipe needs selective addressing")
-        defector, quantum_player = ("alice", "bob") if not flip_intermediate else ("bob", "alice")
-        name = "DQ" if not flip_intermediate else "QD"
-        return PulseSequence(
-            primitives=(
-                pulse(defector, 180, "y"),
-                pulse(quantum_player, 90, "-y"),
-                pulse(quantum_player, 180, "x"),
-                pulse(quantum_player, 90, "y"),
-            ),
-            label=f"strategies {name} gamma={format_exact(gamma)}",
-        )
+        label = "QD" if flip_intermediate else "DQ"
+    else:
+        label = "QQ"
+    if label[0] == label[1]:
+        moves = [("both", label[0])]
+    else:  # a stable sort puts the defector first
+        moves = sorted(zip(("alice", "bob"), label), key=lambda tm: tm[1] != "D")
     return PulseSequence(
-        primitives=(
-            pulse("both", 90, "-y"),
-            pulse("both", 180, "x"),
-            pulse("both", 90, "y"),
+        primitives=tuple(
+            Pulse(target, angle, axis)
+            for target, move in moves
+            for angle, axis in _MOVE_PULSES[move]
         ),
-        label=f"strategies QQ gamma={format_exact(gamma)}",
+        label=f"strategies {label} gamma={format_exact(gamma)}",
     )
 
 
-def _free_evolution_unitary(j_hz: float, t: float) -> np.ndarray:
-    phi = math.pi * j_hz * t / 2
-    return np.diag(np.exp(-1j * phi * np.array([1.0, -1.0, -1.0, 1.0])))
+def _primitive_unitary(p: Pulse | Delay, j_hz: float, angle_scale: float) -> np.ndarray:
+    if isinstance(p, Delay):
+        phi = math.pi * j_hz * p.duration_s / 2
+        return np.diag(np.exp(-1j * phi * np.array([1.0, -1.0, -1.0, 1.0])))
+    r = rotation(math.radians(p.angle_deg) * angle_scale, p.phase_axis)
+    if p.target == "alice":
+        return kron2(r, I2)
+    if p.target == "bob":
+        return kron2(I2, r)
+    return kron2(r, r)
 
 
-class _NoiseDraw:
-    """Per-run noise realization: one coupling/amplitude spread draw, then an
-    independent fractional angle error per pulse.  Draw order is fixed so a
-    seed pins the whole stream."""
-
-    def __init__(self, noise: NoiseModel | None, rng: np.random.Generator | None):
-        self.noise = noise if noise is not None else NOISELESS
-        self.rng = rng
-        self.j_factor = 1.0
-        self.amp_factor = 1.0
-        if not self.noise.is_noiseless:
-            if self.rng is None:
-                self.rng = np.random.default_rng(self.noise.seed)
-            if self.noise.field_inhomogeneity > 0:
-                self.j_factor = 1.0 + self.rng.normal(0.0, self.noise.field_inhomogeneity)
-                self.amp_factor = 1.0 + self.rng.normal(0.0, self.noise.field_inhomogeneity)
-
-    def angle(self, nominal_rad: float) -> float:
-        scale = self.amp_factor
-        if self.noise.rotation_angle_error > 0:
-            scale *= 1.0 + self.rng.normal(0.0, self.noise.rotation_angle_error)
-        return nominal_rad * scale
-
-
-def _primitive_unitary(p: PulsePrimitive, system: SpinSystem, draw: _NoiseDraw) -> np.ndarray:
-    if p.kind == "rotation":
-        r = rotation(draw.angle(math.radians(p.angle_deg)), p.phase_axis)
-        if p.target == "alice":
-            return kron2(r, I2)
-        if p.target == "bob":
-            return kron2(I2, r)
-        return kron2(r, r)
-    if p.duration_s < 0:
-        raise ValueError("free evolution duration must be non-negative")
-    return _free_evolution_unitary(system.j_coupling * draw.j_factor, p.duration_s)
-
-
-def sequence_unitary(
-    seq: PulseSequence,
-    system: SpinSystem = DEFAULT_SYSTEM,
-    noise: NoiseModel | None = None,
-) -> np.ndarray:
-    """Ordered product of the primitive unitaries (first primitive acts first)."""
-    draw = _NoiseDraw(noise, rng=None)
+def sequence_unitary(seq: PulseSequence, system: SpinSystem = DEFAULT_SYSTEM) -> np.ndarray:
+    """Noiseless ordered product of the primitive unitaries (first primitive
+    acts first)."""
     u = np.eye(4, dtype=complex)
     for p in seq.primitives:
-        u = _primitive_unitary(p, system, draw) @ u
+        u = _primitive_unitary(p, system.j_coupling, 1.0) @ u
     return u
 
 
@@ -317,32 +273,42 @@ def run_experiment(
     noise: NoiseModel | None = None,
     table: PayoffTable = DEFAULT_TABLE,
     apply_t2: bool = False,
-    pulse_width: float = NOMINAL_PULSE_WIDTH_S,
 ) -> np.ndarray:
     """Full pulse-level run: ideal |CC> start, compiled entangler, strategy
     pulses, compiled disentangler; returns the final density matrix.
 
     Effective-pure-state preparation is abstracted away: the run starts in
-    the exact |CC> density matrix.  Noise streams for the three sequences
-    are spawned from one seed, so a run is bit-reproducible.  T2 damping of
-    coherences (rate 1/t2 over each primitive's duration) is off by default.
+    the exact |CC> density matrix.  Noise is drawn in a fixed order, so a
+    seeded run is bit-reproducible.  SeedSequence(noise.seed) spawns one
+    stream each for the entangler, the strategies and the disentangler.  With
+    field inhomogeneity, the entangler's stream first gives the run's J factor
+    and then its pulse-amplitude factor, each 1 + N(0, field_inhomogeneity).
+    With an angle error, each pulse then scales its angle by
+    1 + N(0, rotation_angle_error) from its own sequence's stream, in pulse
+    order.  T2 damping of coherences (rate 1/t2 over each primitive's
+    duration) is off by default.
     """
     sequences = _run_sequences(gamma, strategy_seq, system, table)
     noise = noise if noise is not None else NOISELESS
+    j_hz, amp_factor = system.j_coupling, 1.0
     if noise.is_noiseless:
         rngs = [None, None, None]
     else:
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(noise.seed).spawn(3)]
+        if noise.field_inhomogeneity > 0:
+            j_hz *= 1.0 + rngs[0].normal(0.0, noise.field_inhomogeneity)
+            amp_factor = 1.0 + rngs[0].normal(0.0, noise.field_inhomogeneity)
 
     rho = np.outer(KET_CC, KET_CC.conj())
     for seq, rng in zip(sequences, rngs):
-        draw = _NoiseDraw(noise, rng=rng)
         for p in seq.primitives:
-            u = _primitive_unitary(p, system, draw)
+            scale = amp_factor
+            if isinstance(p, Pulse) and noise.rotation_angle_error > 0:
+                scale *= 1.0 + rng.normal(0.0, noise.rotation_angle_error)
+            u = _primitive_unitary(p, j_hz, scale)
             rho = u @ rho @ u.conj().T
             if apply_t2:
-                dt = p.duration_s if p.kind == "free_evolution" else pulse_width
-                rho = _damp_coherences(rho, dt, system.t2)
+                rho = _damp_coherences(rho, p.duration_s, system.t2)
     return rho
 
 
@@ -351,7 +317,6 @@ def experiment_duration(
     strategy_seq: PulseSequence | None = None,
     system: SpinSystem = DEFAULT_SYSTEM,
     table: PayoffTable = DEFAULT_TABLE,
-    pulse_width: float = NOMINAL_PULSE_WIDTH_S,
 ) -> float:
     """Modeled wall time of a run: free evolution plus nominal pulse widths.
 
@@ -359,6 +324,6 @@ def experiment_duration(
     and disentangler periods always sum to a full coupling cycle.
     """
     return sum(
-        seq.total_duration(pulse_width)
+        seq.total_duration()
         for seq in _run_sequences(gamma, strategy_seq, system, table)
     )

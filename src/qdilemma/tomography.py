@@ -65,8 +65,8 @@ class MeasurementRecord:
     def __post_init__(self):
         if len(self.observed_values) != len(OBSERVABLE_IDS):
             raise ValueError(f"expected {len(OBSERVABLE_IDS)} observed values")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         slack = 10 * self.noise_sigma + 1e-9
         if any(abs(v) > 1 + slack for v in self.observed_values):
             raise ValueError("observed values must lie in [-1, 1] up to noise slack")

@@ -228,8 +228,8 @@ class TestNmrCommand:
         assert "[0, pi/2]" in capsys.readouterr().err
 
     def test_duration_warning_logic(self):
-        # fat pulses push the run over the 300 ms budget
-        report = build_nmr_report(math.pi / 2, pulse_width=0.005)
+        # a weaker coupling stretches the free evolution to 2/J = 0.333 s
+        report = build_nmr_report(math.pi / 2, system=SpinSystem(j_coupling=6.0))
         assert any("budget" in w for w in report["warnings"])
         # a pathologically short T2 triggers the decoherence warning
         report = build_nmr_report(math.pi / 2, system=SpinSystem(t2=0.2))
@@ -238,6 +238,23 @@ class TestNmrCommand:
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = str(tmp_path / "nope" / "run.json")
         assert run_cli("nmr", "--gamma", "0.5", "--out", missing_dir) == 2
+
+
+class TestBadNoiseAndSeed:
+    @pytest.mark.parametrize("command", ["sweep", "tomo"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_readout_noise_is_input_error(self, tmp_path, capsys, command, sigma):
+        out = str(tmp_path / "x.json")
+        assert run_cli(command, "--gamma", "0.6", "--noise-readout", sigma, "--out", out) == 1
+        assert "noise_sigma must be finite and non-negative" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["sweep", "nmr", "tomo"])
+    def test_negative_seed_is_input_error(self, tmp_path, capsys, command):
+        out = str(tmp_path / "x.json")
+        assert run_cli(command, "--gamma", "0.6", "--seed", "-1", "--out", out) == 1
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestTomoCommand:

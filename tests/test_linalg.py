@@ -16,7 +16,6 @@ from qdilemma.linalg import (
     kron2,
     probabilities,
     rotation,
-    tensor,
     trace_distance,
 )
 
@@ -48,27 +47,19 @@ def random_state(rng):
 
 
 class TestTensor:
+    """kron2 is the tensor product, Alice's factor on the left."""
+
     def test_identity_case(self):
-        np.testing.assert_allclose(tensor(I2, I2), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(kron2(I2, I2), np.eye(4), atol=1e-15)
 
     def test_defect_tensor_matches_hand_multiplication(self):
         np.testing.assert_allclose(
-            tensor(DEFECT_2Q, DEFECT_2Q), DEFECT_TENSOR_EXPECTED, atol=1e-15
+            kron2(DEFECT_2Q, DEFECT_2Q), DEFECT_TENSOR_EXPECTED, atol=1e-15
         )
 
     def test_defect_on_alice_flips_her_bit(self):
-        out = apply(tensor(DEFECT_2Q, I2), KET_CC)
+        out = apply(kron2(DEFECT_2Q, I2), KET_CC)
         np.testing.assert_allclose(out, -KET_DC, atol=1e-15)
-
-    def test_tensor_of_unitaries_is_unitary(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
-            np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            tensor(np.ones((2, 2)), I2)
 
 
 class TestApply:
@@ -182,8 +173,6 @@ class TestConstructors:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             apply(np.eye(4), [np.nan, 0, 0, 0])
-        with pytest.raises(ValueError):
-            tensor([[np.inf, 0], [0, 1]], I2)
         with pytest.raises(ValueError):
             density_matrix(np.diag([np.nan, 1.0, 0, 0]))
 

@@ -17,22 +17,32 @@ from qdilemma.linalg import I2, KET_CC, fidelity_up_to_phase, rotation
 from qdilemma.nmr import (
     DEFAULT_SYSTEM,
     NOISELESS,
+    NOMINAL_PULSE_WIDTH_S,
+    Delay,
     NoiseModel,
-    PulsePrimitive,
+    Pulse,
     PulseSequence,
     SpinSystem,
     compile_disentangler,
     compile_entangler,
     compile_strategies,
-    delay,
     experiment_duration,
-    pulse,
     run_experiment,
     sequence_from_text,
     sequence_unitary,
 )
 
 J_DEFAULT = 7.17
+
+# compile_strategies(...).to_text() per equilibrium, pulse by pulse
+STRATEGY_LISTINGS = [
+    (0.0, False, "PULSE both 180deg y\n"),  # DD
+    (0.6, False, "PULSE alice 180deg y\nPULSE bob 90deg -y\nPULSE bob 180deg x\n"
+                 "PULSE bob 90deg y\n"),  # DQ
+    (0.6, True, "PULSE bob 180deg y\nPULSE alice 90deg -y\nPULSE alice 180deg x\n"
+                "PULSE alice 90deg y\n"),  # QD
+    (math.pi / 2, False, "PULSE both 90deg -y\nPULSE both 180deg x\nPULSE both 90deg y\n"),  # QQ
+]
 
 
 class TestTimings:
@@ -85,7 +95,7 @@ class TestCompiledGateFidelity:
 class TestStrategyCompilation:
     def test_classical_recipe_is_mutual_defection(self):
         seq = compile_strategies(0.0)
-        assert [p.kind for p in seq.primitives] == ["rotation"]
+        assert seq.primitives == (Pulse("both", 180, "y"),)
         ideal = np.kron(strategy_unitary(DEFECT), strategy_unitary(DEFECT))
         assert fidelity_up_to_phase(sequence_unitary(seq), ideal) >= 1 - 1e-9
 
@@ -122,30 +132,30 @@ class TestStrategyCompilation:
 
 class TestSequenceUnitary:
     def test_nonselective_180y_maps_cc_to_dd(self):
-        seq = PulseSequence(primitives=(pulse("both", 180, "y"),))
+        seq = PulseSequence(primitives=(Pulse("both", 180, "y"),))
         out = sequence_unitary(seq) @ KET_CC
         assert abs(out[3]) == pytest.approx(1.0, abs=1e-12)
 
     def test_free_evolution_eighth_cycle(self):
         t = 1 / (2 * J_DEFAULT)
-        seq = PulseSequence(primitives=(delay(t),))
+        seq = PulseSequence(primitives=(Delay(t),))
         expected = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
         np.testing.assert_allclose(sequence_unitary(seq), expected, atol=1e-12)
 
     def test_zero_duration_delay_is_identity(self):
-        seq = PulseSequence(primitives=(delay(0.0),))
+        seq = PulseSequence(primitives=(Delay(0.0),))
         np.testing.assert_allclose(sequence_unitary(seq), np.eye(4), atol=1e-15)
 
     def test_rejects_negative_duration(self):
-        bad = PulseSequence(primitives=(PulsePrimitive(kind="free_evolution", duration_s=-0.1),))
+        # rejected when the delay is built, before any sequence can hold it
         with pytest.raises(ValueError):
-            sequence_unitary(bad)
+            Delay(-0.1)
 
     def test_selective_pulses_act_on_one_spin(self):
-        seq = PulseSequence(primitives=(pulse("alice", 180, "y"),))
+        seq = PulseSequence(primitives=(Pulse("alice", 180, "y"),))
         out = sequence_unitary(seq) @ KET_CC
         assert abs(out[2]) == pytest.approx(1.0, abs=1e-12)  # DC
-        seq = PulseSequence(primitives=(pulse("bob", 180, "y"),))
+        seq = PulseSequence(primitives=(Pulse("bob", 180, "y"),))
         out = sequence_unitary(seq) @ KET_CC
         assert abs(out[1]) == pytest.approx(1.0, abs=1e-12)  # CD
 
@@ -153,25 +163,29 @@ class TestSequenceUnitary:
     def test_two_spin_product_equals_kron_exactly(self, target):
         rot = rotation(math.radians(37.0), "-y")
         a, b = {"alice": (rot, I2), "bob": (I2, rot), "both": (rot, rot)}[target]
-        seq = PulseSequence(primitives=(pulse(target, 37.0, "-y"),))
+        seq = PulseSequence(primitives=(Pulse(target, 37.0, "-y"),))
         assert np.array_equal(sequence_unitary(seq), np.kron(a, b) @ np.eye(4, dtype=complex))
 
 
 class TestPrimitiveValidation:
     def test_rotation_fields(self):
         with pytest.raises(ValueError):
-            PulsePrimitive(kind="rotation", target="alice", angle_deg=90, phase_axis="z")
+            Pulse("alice", 90, "z")
         with pytest.raises(ValueError):
-            PulsePrimitive(kind="rotation", target="carol", angle_deg=90, phase_axis="x")
+            Pulse("carol", 90, "x")
         with pytest.raises(ValueError):
-            PulsePrimitive(kind="rotation", target="alice", angle_deg=90,
-                           phase_axis="x", duration_s=1.0)
+            Pulse("alice", math.nan, "x")
+        # a pulse's duration is the nominal width, not a field
+        assert Pulse("alice", 90, "x").duration_s == NOMINAL_PULSE_WIDTH_S
+        with pytest.raises(TypeError):
+            Pulse("alice", 90, "x", duration_s=1.0)
 
     def test_free_evolution_fields(self):
-        with pytest.raises(ValueError):
-            PulsePrimitive(kind="free_evolution", duration_s=math.inf)
-        with pytest.raises(ValueError):
-            PulsePrimitive(kind="free_evolution", duration_s=1.0, angle_deg=90)
+        for bad in (math.inf, math.nan, -1e-9):
+            with pytest.raises(ValueError):
+                Delay(bad)
+        with pytest.raises(TypeError):
+            Delay(1.0, angle_deg=90)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
@@ -198,30 +212,42 @@ class TestSerialization:
             again = sequence_from_text(seq.to_text(), label=seq.label)
             assert again.primitives == seq.primitives
 
+    @pytest.mark.parametrize("gamma, flip, listing", STRATEGY_LISTINGS)
+    def test_strategy_golden_listing(self, gamma, flip, listing):
+        seq = compile_strategies(gamma, flip_intermediate=flip)
+        assert seq.to_text() == listing
+        assert sequence_from_text(listing, label=seq.label) == seq
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             sequence_from_text("WAIT 1.0\n")
+        with pytest.raises(ValueError):
+            sequence_from_text("DELAY -0.1\n")
 
 
 class TestNoise:
     def test_zero_noise_is_exact(self):
         g = 0.9
-        u1 = sequence_unitary(compile_entangler(g))
-        u2 = sequence_unitary(compile_entangler(g), noise=NOISELESS)
-        np.testing.assert_allclose(u1, u2, atol=0)
+        assert np.array_equal(run_experiment(g), run_experiment(g, noise=NOISELESS))
 
     def test_seeded_noise_is_reproducible(self):
         noise = NoiseModel(rotation_angle_error=0.05, field_inhomogeneity=0.02, seed=42)
-        seq = compile_entangler(0.9)
-        u1 = sequence_unitary(seq, noise=noise)
-        u2 = sequence_unitary(seq, noise=noise)
-        np.testing.assert_allclose(u1, u2, atol=0)
+        assert np.array_equal(run_experiment(0.9, noise=noise), run_experiment(0.9, noise=noise))
 
     def test_different_seeds_differ(self):
-        seq = compile_entangler(0.9)
-        u1 = sequence_unitary(seq, noise=NoiseModel(rotation_angle_error=0.05, seed=1))
-        u2 = sequence_unitary(seq, noise=NoiseModel(rotation_angle_error=0.05, seed=2))
-        assert np.max(np.abs(u1 - u2)) > 1e-6
+        rho1 = run_experiment(0.9, noise=NoiseModel(rotation_angle_error=0.05, seed=1))
+        rho2 = run_experiment(0.9, noise=NoiseModel(rotation_angle_error=0.05, seed=2))
+        assert np.max(np.abs(rho1 - rho2)) > 1e-6
+
+    def test_inhomogeneity_is_drawn_once_per_run(self):
+        # With one J factor the two delays always sum to 2/J, and with one
+        # amplitude factor the bracketing pulses cancel, so an idle run ends
+        # in the same state at every gamma.
+        noise = NoiseModel(field_inhomogeneity=0.05, seed=3)
+        idle = PulseSequence((Delay(0.0),))
+        ref = run_experiment(0.0, idle, noise=noise)
+        for gamma in np.linspace(0.0, math.pi / 2, 7)[1:]:
+            np.testing.assert_allclose(run_experiment(gamma, idle, noise=noise), ref, atol=1e-12)
 
     def test_noisy_payoff_deviation_is_finite_and_reported(self):
         ideal = play(0.9, QUANTUM, QUANTUM).payoff_a
@@ -279,7 +305,6 @@ class TestDuration:
         assert experiment_duration(gamma) < 0.300
 
     def test_widths_enter_the_budget(self):
-        base = experiment_duration(math.pi / 2, pulse_width=0.0)
-        assert base == pytest.approx(2 / J_DEFAULT, abs=1e-15)
-        padded = experiment_duration(math.pi / 2, pulse_width=0.005)
-        assert padded == pytest.approx(base + 7 * 0.005, abs=1e-15)
+        # four bracketing pulses plus the three of the quantum sandwich
+        total = experiment_duration(math.pi / 2)
+        assert total == pytest.approx(2 / J_DEFAULT + 7 * NOMINAL_PULSE_WIDTH_S, abs=1e-15)

@@ -182,6 +182,16 @@ class TestMeasurementRecord:
         with pytest.raises(ValueError):
             MeasurementRecord(ReadoutSetting(), (0.0,) * 6, -0.1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_noise(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            MeasurementRecord(ReadoutSetting(), (0.0,) * 6, sigma)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            simulate_readout(np.diag([1.0, 0, 0, 0]), ReadoutSetting(), sigma)
+        text = records_to_text(tomography_records(BELL_LIKE))
+        with pytest.raises(ValueError, match="noise_sigma"):
+            records_from_text(text.replace("# noise_sigma 0", f"# noise_sigma {sigma}"))
+
     def test_value_range_slack_scales_with_noise(self):
         with pytest.raises(ValueError):
             MeasurementRecord(ReadoutSetting(), (1.2, 0, 0, 0, 0, 0), 0.0)
