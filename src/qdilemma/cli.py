@@ -77,20 +77,35 @@ def _preset_gamma(name: str, table: PayoffTable) -> float:
     raise ValueError(f"unknown preset {name!r} (expected one of {PRESETS})")
 
 
+SEED_RULE = "must be a non-negative integer"
+
+
+def _is_seed(value) -> bool:
+    """SeedSequence takes only non-negative integers."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _seed(raw: str) -> int:
-    """argparse type of --seed: SeedSequence takes only non-negative integers."""
+    """argparse type of --seed."""
     try:
         seed = int(raw)
-        if seed >= 0:
-            return seed
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("must be a non-negative integer")
+        seed = None
+    if not _is_seed(seed):
+        raise argparse.ArgumentTypeError(SEED_RULE)
+    return seed
 
 
 def _row_seeds(seed: int, index: int) -> tuple[int, int]:
     state = np.random.SeedSequence([seed, index]).generate_state(2)
     return int(state[0]), int(state[1])
+
+
+def _config(args, table: PayoffTable, **fields) -> dict:
+    """A dataset's embedded config: the command, version, table and format
+    every dataset records, then the command's own fields."""
+    return {"command": args.command, "version": __version__,
+            "table": list(table.as_tuple()), "format": args.format, **fields}
 
 
 def _write(path: str, text: str) -> None:
@@ -270,6 +285,8 @@ def _replay(path: str, expected_kind: str) -> int:
         kind = meta.pop("kind")
         if kind != expected_kind:
             raise ValueError(f"file {path} holds a {kind!r} dataset, not {expected_kind!r}")
+        if "seed" in meta and not _is_seed(meta["seed"]):
+            raise ValueError(f"file {path}: embedded metadata key 'seed' {SEED_RULE}")
         regenerated = render(_BUILDERS[kind](meta), meta["format"])
     except KeyError as exc:
         raise ValueError(f"file {path}: embedded metadata lacks key {exc.args[0]!r}") from None
@@ -294,14 +311,7 @@ def _cmd_landscape(args) -> int:
     gamma = _preset_gamma(args.preset, table) if args.preset else args.gamma
     if gamma is None:
         raise ValueError("landscape needs --gamma or --preset")
-    config = {
-        "command": "landscape",
-        "version": __version__,
-        "gamma": float(gamma),
-        "steps": args.steps,
-        "table": list(table.as_tuple()),
-        "format": args.format,
-    }
+    config = _config(args, table, gamma=float(gamma), steps=args.steps)
     if args.preset:
         config["preset"] = args.preset
     _write(args.out, render(build_landscape_dataset(config), args.format))
@@ -313,16 +323,8 @@ def _cmd_sweep(args) -> int:
         return _replay(args.replay, "sweep_comparison")
     table = _parse_table(args.table)
     gammas = [float(g) for g in args.gamma] if args.gamma else sweep_gammas()
-    config = {
-        "command": "sweep",
-        "version": __version__,
-        "gammas": gammas,
-        "table": list(table.as_tuple()),
-        "noise_angle": args.noise_angle,
-        "noise_readout": args.noise_readout,
-        "seed": args.seed,
-        "format": args.format,
-    }
+    config = _config(args, table, gammas=gammas, noise_angle=args.noise_angle,
+                     noise_readout=args.noise_readout, seed=args.seed)
     _write(args.out, render(build_sweep_dataset(config), args.format))
     return 0
 
@@ -330,15 +332,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_equilibria(args) -> int:
     table = _parse_table(args.table)
     grid = _parse_grid(args.grid)
-    config = {
-        "command": "equilibria",
-        "version": __version__,
-        "gamma": float(args.gamma),
-        "grid": [grid.theta_steps, grid.phi_steps],
-        "tol": args.tol,
-        "table": list(table.as_tuple()),
-        "format": args.format,
-    }
+    config = _config(args, table, gamma=float(args.gamma),
+                     grid=[grid.theta_steps, grid.phi_steps], tol=args.tol)
     ds = build_equilibria_dataset(config)
     print(f"regime: {ds.metadata['regime']}, equilibria: {ds.metadata['equilibrium_count']}")
     _write(args.out, render(ds, args.format))
@@ -351,13 +346,7 @@ def _cmd_thresholds(args) -> int:
     print(f"gamma_th1 = {th.gamma_th1:.6f}")
     print(f"gamma_th2 = {th.gamma_th2:.6f}")
     if args.out:
-        config = {
-            "command": "thresholds",
-            "version": __version__,
-            "table": list(table.as_tuple()),
-            "format": args.format,
-        }
-        _write(args.out, render(build_thresholds_dataset(config), args.format))
+        _write(args.out, render(build_thresholds_dataset(_config(args, table)), args.format))
     return 0
 
 

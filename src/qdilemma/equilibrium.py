@@ -6,10 +6,12 @@ search doubles as an oracle for the closed-form threshold expressions.
 
 Payoffs are the rank-6 bilinear form of game.py: Alice's payoff matrix is
 P = F M F^T for the grid's feature rows F and the 6x6 payoff form M.  The
-Nash scan makes two passes over blocks of grid rows, the first for the
-column maxima of P, the second forming the block's rows of P from F M and
-its columns from F M^T to keep the pairs where neither player gains more
-than tol, so memory grows with the grid, not with its square.
+game is symmetric (Bob's payoff at (i, j) is P[j, i]), so the Nash scan needs
+one best-reply relation R = {(i, j) : P[i, j] >= max_k P[k, j] - tol}: the
+equilibria are R intersected with its transpose.  One pass over blocks of
+opponent moves keeps R as sorted integer keys, and the payoffs are then
+reported from the block products of the reported moves alone, so memory
+grows with the grid, not with its square.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ REGIME_QUANTUM = "quantum"
 
 DEFAULT_TOL = 1e-9
 
-# Strategy-grid rows per block of the Nash scan: it holds a few
-# NASH_BLOCK_ROWS x n arrays at a time, never the n x n payoff matrix.
-NASH_BLOCK_ROWS = 64
+# Strategy-grid rows per block of the Nash scan: it holds one
+# NASH_BLOCK_ROWS x n block of replies at a time, never the n x n payoff
+# matrix, and reports payoffs from blocks of this many Alice moves.
+NASH_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -184,22 +187,32 @@ def find_nash_grid(
     tt, pp = grid.angles()
     features = strategy_features(tt, pp)
     form = payoff_form(gamma, table)
-    alice_rows, bob_rows = features @ form, features @ form.T
+    alice_rows = features @ form
     n = len(features)
     blocks = [slice(lo, min(lo + NASH_BLOCK_ROWS, n)) for lo in range(0, n, NASH_BLOCK_ROWS)]
-    best = np.full(n, -np.inf)  # best[j]: Alice's best payoff against strategy j
-    for rows in blocks:
-        np.maximum(best, (alice_rows[rows] @ features.T).max(axis=0), out=best)
-    floor = best - tol
+    # Key j*n + i: move i is within tol of the best reply to move j.
+    relation = []
+    for cols in blocks:
+        replies = features[cols] @ alice_rows.T  # replies[k, i] = P[i, j], j = cols.start + k
+        hits = replies >= replies.max(axis=1, keepdims=True) - tol
+        relation.append(np.flatnonzero(hits) + cols.start * n)
+    keys = np.concatenate(relation)
+    # (i, j) is an equilibrium when both j*n + i and its swap i*n + j are keys
+    swapped = keys % n * n + keys // n
+    found = keys[swapped == keys[np.minimum(np.searchsorted(keys, swapped), len(keys) - 1)]]
+    # Report payoffs from the blocks holding Alice's move, Bob's as (F M^T) f:
+    # read back from the relation as (F M) f, its last bit can differ.
+    bob_rows = features @ form.T
     equilibria = []
-    for rows in blocks:
-        alice = alice_rows[rows] @ features.T  # alice[k, j] = P[i, j], i = rows.start + k
-        bob = bob_rows[rows] @ features.T  # bob[k, j] = P[j, i]
-        nash = (alice >= floor) & (bob >= floor[rows, np.newaxis])
-        for k, j in zip(*np.divmod(np.flatnonzero(nash), n)):
-            i = rows.start + k
-            equilibria.append((Strategy(float(tt[i]), float(pp[i])), Strategy(float(tt[j]), float(pp[j])),
-                               float(alice[k, j]), float(bob[k, j])))
+    rows = slice(0, 0)
+    for i, j in zip(*np.divmod(found, n)):  # found is sorted, so i never decreases
+        if i >= rows.stop:
+            rows = blocks[i // NASH_BLOCK_ROWS]
+            alice = alice_rows[rows] @ features.T  # alice[k, j] = P[i, j], i = rows.start + k
+            bob = bob_rows[rows] @ features.T  # bob[k, j] = P[j, i]
+        k = i - rows.start
+        equilibria.append((Strategy(float(tt[i]), float(pp[i])), Strategy(float(tt[j]), float(pp[j])),
+                           float(alice[k, j]), float(bob[k, j])))
     return EquilibriumReport(
         gamma=float(gamma), equilibria=tuple(equilibria), regime=classify_regime(gamma, table)
     )

@@ -203,6 +203,20 @@ class TestReplay:
         err = capsys.readouterr().err
         assert f"error: file {out}: embedded metadata has a value of the wrong type" in err
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7", True])
+    def test_replay_checks_the_seed_like_the_seed_flag(self, tmp_path, capsys, seed):
+        out = str(tmp_path / "s.csv")
+        assert run_cli("sweep", "--gamma", "0.6", "--seed", "2", "--out", out) == 0
+        meta_line, rest = read(out).split("\n", 1)
+        meta = json.loads(meta_line[len("# meta: "):])
+        meta["seed"] = seed
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("# meta: " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert run_cli("sweep", "--replay", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: file {out}: embedded metadata key 'seed' must be a non-negative integer" in err
+
 
 class TestNmrCommand:
     def test_writes_report_and_pulse_listing(self, tmp_path):

@@ -145,3 +145,11 @@ class TestGoldenFixtures:
         meta = read_metadata(text)
         assert meta.pop("kind") == "equilibria"
         assert render(build_equilibria_dataset(meta), meta["format"]) == text
+
+    def test_threshold_equilibria_json_regenerates(self):
+        # JSON keeps every bit of the payoffs; at gamma_th2 the D/Q equilibria
+        # coexist with the mutual-quantum ones
+        text = (DATA / "equilibria_g0.6847192030022829_21x11.json").read_text(encoding="utf-8")
+        meta = read_metadata(text)
+        assert meta.pop("kind") == "equilibria"
+        assert render(build_equilibria_dataset(meta), meta["format"]) == text

@@ -286,6 +286,58 @@ class TestFindNashGrid:
         assert peak < 64e6
 
 
+def dense_equilibria(gamma, grid, tol, table):
+    """The Nash scan with the whole payoff matrix: each player within tol of
+    the column maximum, pairs in lexicographic order."""
+    tt, pp = grid.angles()
+    payoff = pairwise_payoff_matrix(gamma, tt, pp, table)
+    alice_ok = payoff >= payoff.max(axis=0) - tol
+    return [
+        (tt[i], pp[i], tt[j], pp[j], payoff[i, j], payoff[j, i])
+        for i, j in np.argwhere(alice_ok & alice_ok.T)
+    ]
+
+
+def assert_scan_matches_dense(gamma, grid, tol=1e-9, table=PayoffTable()):
+    report = find_nash_grid(gamma, grid, tol, table)
+    expected = dense_equilibria(gamma, grid, tol, table)
+    assert [(sa.theta, sa.phi, sb.theta, sb.phi) for sa, sb, _, _ in report.equilibria] == [
+        e[:4] for e in expected
+    ]
+    for (_, _, pa, pb), (*_, ea, eb) in zip(report.equilibria, expected):
+        assert pa == pytest.approx(ea, abs=1e-12)
+        assert pb == pytest.approx(eb, abs=1e-12)
+    return report
+
+
+class TestBestReplyRelation:
+    @pytest.mark.parametrize("gamma", [0.0, 0.6, math.pi / 2])
+    @pytest.mark.parametrize("steps", [(5, 3), (9, 5)])  # 13 and 41 strategies
+    def test_dense_relation_reports_every_pair(self, gamma, steps):
+        grid = StrategyGrid(*steps)
+        n = len(grid.angles()[0])
+        report = assert_scan_matches_dense(gamma, grid, tol=1e6)
+        assert len(report.equilibria) == n * n
+
+    @pytest.mark.parametrize("steps", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("table", REGIME_SCAN_TABLES[:3], ids=lambda t: str(t.as_tuple()))
+    def test_grids_smaller_than_one_block(self, steps, table):
+        grid = StrategyGrid(*steps)
+        assert len(grid.angles()[0]) < NASH_BLOCK_ROWS
+        th = thresholds(table)
+        for gamma in (0.0, th.gamma_th1, (th.gamma_th1 + th.gamma_th2) / 2, th.gamma_th2,
+                      math.pi / 2):
+            assert_scan_matches_dense(gamma, grid, table=table)
+
+    def test_both_thresholds_of_a_non_default_table(self):
+        table = PayoffTable(10, 2, 20, 5)
+        th = thresholds(table)
+        at_th1 = assert_scan_matches_dense(th.gamma_th1, FAST_GRID, table=table)
+        assert {(D_KEY, D_KEY), (D_KEY, Q_KEY), (Q_KEY, D_KEY)} <= pair_keys(at_th1)
+        at_th2 = assert_scan_matches_dense(th.gamma_th2, FAST_GRID, table=table)
+        assert {(D_KEY, Q_KEY), (Q_KEY, D_KEY), (Q_KEY, Q_KEY)} <= pair_keys(at_th2)
+
+
 class TestRegimeClassification:
     def test_boundaries(self):
         th = thresholds()
