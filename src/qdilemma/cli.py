@@ -52,18 +52,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_table(raw: str) -> PayoffTable:
-    parts = raw.split(",")
-    if len(parts) != 4:
-        raise ValueError("--table expects four numbers: reward,sucker,temptation,punishment")
-    r, s, t, p = (float(x) for x in parts)
+    try:
+        r, s, t, p = (float(x) for x in raw.split(","))
+    except ValueError:
+        raise ValueError("--table expects four numbers: reward,sucker,temptation,punishment, "
+                         f"got {raw!r}") from None
     return PayoffTable(reward=r, sucker=s, temptation=t, punishment=p)
 
 
 def _parse_grid(raw: str) -> StrategyGrid:
-    parts = raw.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError("--grid expects THETAxPHI, e.g. 61x31")
-    return StrategyGrid(int(parts[0]), int(parts[1]))
+    try:
+        theta_steps, phi_steps = (int(x) for x in raw.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"--grid expects THETAxPHI, e.g. 61x31, got {raw!r}") from None
+    return StrategyGrid(theta_steps, phi_steps)
 
 
 def _preset_gamma(name: str, table: PayoffTable) -> float:
@@ -96,9 +98,14 @@ def _seed(raw: str) -> int:
     return seed
 
 
-def _row_seeds(seed: int, index: int) -> tuple[int, int]:
+def _noisy_trial(gamma, strategy_seq, table, noise_angle, noise_readout, seed, index):
+    """Run index of a seeded series: a pulse run with angle noise, then a
+    noisy readout and its reconstruction; both streams derive from (seed, index)."""
     state = np.random.SeedSequence([seed, index]).generate_state(2)
-    return int(state[0]), int(state[1])
+    noise = NoiseModel(rotation_angle_error=noise_angle, seed=int(state[0]))
+    rho = run_experiment(gamma, strategy_seq, noise=noise, table=table)
+    records = tomography_records(rho, noise_readout, seed=int(state[1]))
+    return records, reconstruct(records)
 
 
 def _config(args, table: PayoffTable, **fields) -> dict:
@@ -136,8 +143,6 @@ def build_landscape_dataset(config: dict) -> FigureDataset:
 def build_sweep_dataset(config: dict) -> FigureDataset:
     table = PayoffTable(*config["table"])
     gammas = [validate_gamma(g) for g in config["gammas"]]
-    noise_angle = config["noise_angle"]
-    noise_readout = config["noise_readout"]
     cols = {k: [] for k in ("n", "gamma", "label", "payoff_analytic",
                             "payoff_nmr_ideal", "payoff_tomo_noisy")}
     row_index = 0
@@ -148,13 +153,11 @@ def build_sweep_dataset(config: dict) -> FigureDataset:
             rho_ideal = run_experiment(gamma, strategy_seq, table=table)
             ideal_pa = payoff_from_density(rho_ideal, table)[0]
 
-            noise_seed, tomo_seed = _row_seeds(config["seed"], row_index)
-            noise = NoiseModel(rotation_angle_error=noise_angle, seed=noise_seed)
-            rho_noisy = run_experiment(gamma, strategy_seq, noise=noise, table=table)
-            records = tomography_records(rho_noisy, noise_readout, seed=tomo_seed)
+            _, result = _noisy_trial(gamma, strategy_seq, table, config["noise_angle"],
+                                     config["noise_readout"], config["seed"], row_index)
             # payoffs are linear in the state: read the raw minimizer, which is
             # unbiased where the projected estimate is not
-            noisy_pa = payoff_from_density(reconstruct(records).rho_raw, table)[0]
+            noisy_pa = payoff_from_density(result.rho_raw, table)[0]
 
             cols["n"].append(n)
             cols["gamma"].append(gamma)
@@ -251,11 +254,7 @@ def build_tomo_report(
     table: PayoffTable = DEFAULT_TABLE,
 ) -> tuple[dict, str]:
     gamma = validate_gamma(gamma)
-    noise_seed, tomo_seed = _row_seeds(seed, 0)
-    noise = NoiseModel(rotation_angle_error=noise_angle, seed=noise_seed)
-    rho_true = run_experiment(gamma, noise=noise, table=table)
-    records = tomography_records(rho_true, noise_readout, seed=tomo_seed)
-    result = reconstruct(records)
+    records, result = _noisy_trial(gamma, None, table, noise_angle, noise_readout, seed, 0)
     pa, pb = payoff_from_density(result.rho_raw, table)
     report = {
         "version": __version__,

@@ -1,12 +1,13 @@
 """Nine-setting readout simulation and least-squares state reconstruction.
 
 Each readout setting optionally tips each spin with a 90-degree pulse about
-x or y before a z-basis read.  A setting yields the four rotated-basis
-populations plus the two single-spin z expectations; across the nine
-settings the 15 real parameters of a Hermitian unit-trace matrix are
-overdetermined, and the estimate is the normal-equations least-squares
-solution, projected back to the physical cone when noise pushes an
-eigenvalue negative.
+x or y before a z-basis read.  A setting yields six values, all read from
+the rotated state's (CC, CD, DC, DD) populations through one weight table:
+the four populations themselves, then sigma_z on Alice's spin
+(1, 1, -1, -1) and on Bob's (1, -1, 1, -1).  Across the nine settings the
+15 real parameters of a Hermitian unit-trace matrix are overdetermined, and
+the estimate is the normal-equations least-squares solution, projected back
+to the physical cone when noise pushes an eigenvalue negative.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _PAULI_1Q = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 PARAM_LABELS = tuple(
     a + b for a, b in product("IXYZ", repeat=2) if (a, b) != ("I", "I")
 )
-_PARAM_MATRICES = [kron2(_PAULI_1Q[l[0]], _PAULI_1Q[l[1]]) for l in PARAM_LABELS]
+_PARAM_MATRICES = np.array([kron2(_PAULI_1Q[l[0]], _PAULI_1Q[l[1]]) for l in PARAM_LABELS])
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class ReconstructionResult:
     rho_hat: np.ndarray
     residual_norm: float
     projected: bool
-    rho_raw: np.ndarray | None = None
+    rho_raw: np.ndarray
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -97,32 +98,33 @@ _SETTING_UNITARIES = {
 }
 
 
-# The four basis-state projectors, then sigma_z on Alice's and on Bob's spin.
-_OBSERVABLES = [np.diag(e).astype(complex) for e in np.eye(4)] + [
-    kron2(SIGMA_Z, I2), kron2(I2, SIGMA_Z)
-]
+# Each observable's weights on the rotated (CC, CD, DC, DD) populations: the
+# four basis-state projectors, then sigma_z on Alice's and on Bob's spin.
+_READOUT_WEIGHTS = _read_only(np.array([
+    [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+    [1, 1, -1, -1], [1, -1, 1, -1],
+], dtype=float))
 
 
 def simulate_readout(
     rho: np.ndarray,
     setting: ReadoutSetting,
     noise_sigma: float = 0.0,
-    seed: int | None = 0,
-    rng: np.random.Generator | None = None,
+    seed: int | np.random.SeedSequence | None = 0,
 ) -> MeasurementRecord:
-    """Rotate, read the z-accessible observables, add Gaussian readout noise.
+    """Rotate, read the six values off the populations, add Gaussian noise.
 
-    Deterministic for a fixed seed; pass an explicit generator to share a
-    stream across settings.
+    Deterministic for a fixed seed (an int or a SeedSequence); no generator
+    is built when noise_sigma is 0.
     """
     rho = np.asarray(rho, dtype=complex)
     u = _SETTING_UNITARIES[setting.id]
     rotated = u @ rho @ u.conj().T
-    values = np.array([np.trace(obs @ rotated).real for obs in _OBSERVABLES])
+    # a complex sum of four, like np.trace's, not a real dot product: the
+    # summation order keeps every value bitwise equal to tr(obs @ rotated)
+    values = (_READOUT_WEIGHTS * rotated.diagonal()).sum(axis=1).real
     if noise_sigma > 0:
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        values = values + rng.normal(0.0, noise_sigma, size=values.shape)
+        values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, size=values.shape)
     return MeasurementRecord(
         setting=setting,
         observed_values=tuple(float(v) for v in values),
@@ -135,22 +137,15 @@ def tomography_records(
 ) -> list[MeasurementRecord]:
     """One record per readout setting, with independent per-setting noise streams."""
     streams = np.random.SeedSequence(seed).spawn(len(ALL_SETTINGS))
-    return [
-        simulate_readout(rho, s, noise_sigma, rng=np.random.default_rng(ss))
-        for s, ss in zip(ALL_SETTINGS, streams)
-    ]
+    return [simulate_readout(rho, s, noise_sigma, seed=ss) for s, ss in zip(ALL_SETTINGS, streams)]
 
 
 def _design_block(setting_id: str) -> tuple[np.ndarray, np.ndarray]:
     """Rows mapping the 15 Pauli coefficients to this setting's values."""
     u = _SETTING_UNITARIES[setting_id]
-    rows = np.empty((len(_OBSERVABLES), len(PARAM_LABELS)))
-    offsets = np.empty(len(_OBSERVABLES))
-    for k, obs in enumerate(_OBSERVABLES):
-        back = u.conj().T @ obs @ u
-        offsets[k] = np.trace(back).real / 4.0
-        for m, pauli in enumerate(_PARAM_MATRICES):
-            rows[k, m] = np.trace(back @ pauli).real / 4.0
+    back = np.array([u.conj().T @ np.diag(w).astype(complex) @ u for w in _READOUT_WEIGHTS])
+    rows = np.trace(back[:, None] @ _PARAM_MATRICES, axis1=2, axis2=3).real / 4.0
+    offsets = np.trace(back, axis1=1, axis2=2).real / 4.0
     return rows, offsets
 
 
@@ -213,10 +208,9 @@ def reconstruct(records) -> ReconstructionResult:
     raw = rho.copy()
     raw.setflags(write=False)
 
-    eigvals = np.linalg.eigvalsh(rho)
-    projected = bool(eigvals.min() < -EIGENVALUE_FLOOR)
+    vals, vecs = np.linalg.eigh(rho)
+    projected = bool(vals.min() < -EIGENVALUE_FLOOR)
     if projected:
-        vals, vecs = np.linalg.eigh(rho)
         vals = np.clip(vals, 0.0, None)
         vals = vals / vals.sum()
         rho = (vecs * vals) @ vecs.conj().T
@@ -248,7 +242,6 @@ def records_to_text(records) -> str:
 def records_from_text(text: str) -> list[MeasurementRecord]:
     sigma = 0.0
     by_setting: dict[str, dict[str, float]] = {}
-    order: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -264,20 +257,20 @@ def records_from_text(text: str) -> list[MeasurementRecord]:
         sid, obs_id, value = parts
         if obs_id not in OBSERVABLE_IDS:
             raise ValueError(f"unknown observable id {obs_id!r} on line {lineno}")
-        if sid not in by_setting:
-            by_setting[sid] = {}
-            order.append(sid)
-        by_setting[sid][obs_id] = float(value)
+        if sid.count("-") != 1:
+            raise ValueError(f"setting id {sid!r} on line {lineno} is not ALICE-BOB, e.g. x90-none")
+        values = by_setting.setdefault(sid, {})
+        if obs_id in values:
+            raise ValueError(f"line {lineno} repeats {sid} {obs_id}")
+        values[obs_id] = float(value)
 
     records = []
-    for sid in order:
-        alice, bob = sid.split("-")
-        values = by_setting[sid]
+    for sid, values in by_setting.items():
         if set(values) != set(OBSERVABLE_IDS):
             raise ValueError(f"setting {sid} is missing observables")
         records.append(
             MeasurementRecord(
-                setting=ReadoutSetting(alice, bob),
+                setting=ReadoutSetting(*sid.split("-")),
                 observed_values=tuple(values[o] for o in OBSERVABLE_IDS),
                 noise_sigma=sigma,
             )

@@ -304,6 +304,20 @@ class TestParsing:
         assert run_cli("equilibria", "--gamma", "0.3", "--grid", "61",
                        "--out", str(tmp_path / "x.csv")) == 1
 
+    @pytest.mark.parametrize("args, expected", [
+        (("thresholds", "--table", "3,0,5,x"),
+         "--table expects four numbers: reward,sucker,temptation,punishment, got '3,0,5,x'"),
+        (("thresholds", "--table", "1,2,3"), "--table expects four numbers"),
+        (("equilibria", "--gamma", "0.3", "--grid", "ax3"),
+         "--grid expects THETAxPHI, e.g. 61x31, got 'ax3'"),
+        (("equilibria", "--gamma", "0.3", "--grid", "61x31x2"), "--grid expects THETAxPHI"),
+    ])
+    def test_unparsable_flag_names_the_flag(self, tmp_path, capsys, args, expected):
+        assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}")
+        assert not (tmp_path / "x.csv").exists()
+
 
 def test_console_entry_point_runs():
     env = dict(os.environ)

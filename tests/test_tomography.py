@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 
 from qdilemma.game import PayoffTable
-from qdilemma.linalg import KET_CC, KET_DD, SIGMA_X, SIGMA_Y, I2, density_from_state, trace_distance
+from qdilemma.linalg import (
+    KET_CC,
+    KET_DD,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    I2,
+    density_from_state,
+    trace_distance,
+)
 from qdilemma.tomography import (
     ALL_SETTINGS,
+    OBSERVABLE_IDS,
+    PARAM_LABELS,
     MeasurementRecord,
     ReadoutSetting,
     design_matrix_rank_check,
@@ -16,6 +27,7 @@ from qdilemma.tomography import (
     records_to_text,
     simulate_readout,
     tomography_records,
+    _design_block,
 )
 
 BELL_LIKE = density_from_state((KET_CC + 1j * KET_DD) / np.sqrt(2))
@@ -25,6 +37,33 @@ def random_pure_density(rng):
     z = rng.normal(size=4) + 1j * rng.normal(size=4)
     z = z / np.linalg.norm(z)
     return np.outer(z, z.conj())
+
+
+def random_mixed_density(rng):
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho).real
+
+
+# Trace oracle for the readout, built locally from np.kron: the exact
+# 90-degree tips, the four basis projectors and sigma_z on each spin.
+_ORACLE_TIPS = {
+    "none": I2,
+    "x90": math.cos(math.pi / 4) * I2 - 1j * math.sin(math.pi / 4) * SIGMA_X,
+    "y90": math.cos(math.pi / 4) * I2 - 1j * math.sin(math.pi / 4) * SIGMA_Y,
+}
+_ORACLE_OBSERVABLES = [np.diag(e).astype(complex) for e in np.eye(4)] + [
+    np.kron(SIGMA_Z, I2), np.kron(I2, SIGMA_Z)
+]
+_ORACLE_PAULIS = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+
+
+def _oracle_unitary(setting):
+    return np.kron(_ORACLE_TIPS[setting.alice_rotation], _ORACLE_TIPS[setting.bob_rotation])
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
 
 
 class TestSettings:
@@ -61,6 +100,28 @@ class TestSimulateReadout:
         rec = simulate_readout(BELL_LIKE, ReadoutSetting("x90", "x90"), 0.0)
         assert abs(rec.observed_values[0] - 0.5) > 0.1
 
+    def test_bitwise_equal_to_trace_oracle(self):
+        # the weight-table read must reproduce tr(obs rotated) to the last
+        # bit, signed zeros included: the sweep datasets depend on it
+        rng = np.random.default_rng(71)
+        states = [random_mixed_density(rng) for _ in range(20)]
+        states += [random_pure_density(rng) for _ in range(20)]
+        states += [np.diag([1.0, 0, 0, 0]), BELL_LIKE]
+        for rho in states:
+            for setting in ALL_SETTINGS:
+                u = _oracle_unitary(setting)
+                rotated = u @ rho @ u.conj().T
+                expected = [np.trace(obs @ rotated).real for obs in _ORACLE_OBSERVABLES]
+                got = simulate_readout(rho, setting, 0.0).observed_values
+                assert _hex(got) == _hex(expected), setting.id
+
+    def test_seed_takes_a_seed_sequence(self):
+        ss = np.random.SeedSequence(9)
+        a = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=ss)
+        b = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=np.random.SeedSequence(9))
+        assert a == b
+        assert simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=None) != a
+
     def test_seeded_noise_reproducible(self):
         a = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=3)
         b = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=3)
@@ -72,6 +133,21 @@ class TestSimulateReadout:
 class TestReconstruct:
     def test_rank_check_passes(self):
         assert design_matrix_rank_check() == 15
+
+    def test_design_block_bitwise_equal_to_trace_oracle(self):
+        paulis = [np.kron(_ORACLE_PAULIS[l[0]], _ORACLE_PAULIS[l[1]]) for l in PARAM_LABELS]
+        for setting in ALL_SETTINGS:
+            u = _oracle_unitary(setting)
+            rows = np.empty((len(OBSERVABLE_IDS), len(PARAM_LABELS)))
+            offsets = np.empty(len(OBSERVABLE_IDS))
+            for k, obs in enumerate(_ORACLE_OBSERVABLES):
+                back = u.conj().T @ obs @ u
+                offsets[k] = np.trace(back).real / 4.0
+                for m, pauli in enumerate(paulis):
+                    rows[k, m] = np.trace(back @ pauli).real / 4.0
+            got_rows, got_offsets = _design_block(setting.id)
+            assert _hex(got_rows) == _hex(rows), setting.id
+            assert _hex(got_offsets) == _hex(offsets), setting.id
 
     def test_round_trip_pure_cc(self):
         result = reconstruct(tomography_records(np.diag([1.0, 0, 0, 0])))
@@ -173,6 +249,18 @@ class TestRecordSerialization:
             records_from_text("none-none pop_cc\n")
         with pytest.raises(ValueError):
             records_from_text("none-none pop_qq 0.5\n")
+
+    def test_repeated_value_is_rejected(self):
+        text = records_to_text(tomography_records(BELL_LIKE)) + "none-none pop_cc 0.5\n"
+        with pytest.raises(ValueError, match="line 56 repeats none-none pop_cc"):
+            records_from_text(text)
+
+    @pytest.mark.parametrize("sid", ["nonenone", "none-none-none"])
+    def test_malformed_setting_id_names_the_line(self, sid):
+        text = records_to_text(tomography_records(BELL_LIKE)).replace("x90-y90", sid)
+        lineno = 1 + 6 * [s.id for s in ALL_SETTINGS].index("x90-y90") + 1
+        with pytest.raises(ValueError, match=f"setting id '{sid}' on line {lineno}"):
+            records_from_text(text)
 
 
 class TestMeasurementRecord:
