@@ -69,14 +69,11 @@ def _parse_grid(raw: str) -> StrategyGrid:
 
 
 def _preset_gamma(name: str, table: PayoffTable) -> float:
+    """Midpoint of the preset's gamma range: classical, intermediate or quantum."""
     th = thresholds(table)
-    if name == "fig2":
-        return th.gamma_th1 / 2
-    if name == "fig3":
-        return (th.gamma_th1 + th.gamma_th2) / 2
-    if name == "fig4":
-        return (th.gamma_th2 + math.pi / 2) / 2
-    raise ValueError(f"unknown preset {name!r} (expected one of {PRESETS})")
+    bounds = (0.0, th.gamma_th1, th.gamma_th2, math.pi / 2)
+    k = PRESETS.index(name)
+    return (bounds[k] + bounds[k + 1]) / 2
 
 
 SEED_RULE = "must be a non-negative integer"
@@ -108,11 +105,23 @@ def _noisy_trial(gamma, strategy_seq, table, noise_angle, noise_readout, seed, i
     return records, reconstruct(records)
 
 
-def _config(args, table: PayoffTable, **fields) -> dict:
+def _config(args, **fields) -> dict:
     """A dataset's embedded config: the command, version, table and format
     every dataset records, then the command's own fields."""
     return {"command": args.command, "version": __version__,
-            "table": list(table.as_tuple()), "format": args.format, **fields}
+            "table": list(args.table.as_tuple()), "format": args.format, **fields}
+
+
+def _run_report(gamma, table: PayoffTable, noise_angle, seed, **fields) -> dict:
+    """A run report: the version, gamma, table, angle noise and seed every
+    report records, then the report's own fields."""
+    return {"version": __version__, "gamma": gamma, "table": list(table.as_tuple()),
+            "noise_angle": noise_angle, "seed": seed, **fields}
+
+
+def _columns(names, rows) -> dict:
+    """Dataset columns from row tuples; every column is present with no rows."""
+    return {name: [row[k] for row in rows] for k, name in enumerate(names)}
 
 
 def _write(path: str, text: str) -> None:
@@ -143,48 +152,31 @@ def build_landscape_dataset(config: dict) -> FigureDataset:
 def build_sweep_dataset(config: dict) -> FigureDataset:
     table = PayoffTable(*config["table"])
     gammas = [validate_gamma(g) for g in config["gammas"]]
-    cols = {k: [] for k in ("n", "gamma", "label", "payoff_analytic",
-                            "payoff_nmr_ideal", "payoff_tomo_noisy")}
-    row_index = 0
+    rows = []
     for n, gamma in enumerate(gammas):
         for _, label, analytic in nash_payoff_curve(table, [gamma]):
-            flip = label == "QD"
-            strategy_seq = compile_strategies(gamma, table, flip_intermediate=flip)
+            strategy_seq = compile_strategies(gamma, table, flip_intermediate=label == "QD")
             rho_ideal = run_experiment(gamma, strategy_seq, table=table)
-            ideal_pa = payoff_from_density(rho_ideal, table)[0]
-
             _, result = _noisy_trial(gamma, strategy_seq, table, config["noise_angle"],
-                                     config["noise_readout"], config["seed"], row_index)
+                                     config["noise_readout"], config["seed"], len(rows))
             # payoffs are linear in the state: read the raw minimizer, which is
             # unbiased where the projected estimate is not
-            noisy_pa = payoff_from_density(result.rho_raw, table)[0]
-
-            cols["n"].append(n)
-            cols["gamma"].append(gamma)
-            cols["label"].append(label)
-            cols["payoff_analytic"].append(analytic)
-            cols["payoff_nmr_ideal"].append(ideal_pa)
-            cols["payoff_tomo_noisy"].append(noisy_pa)
-            row_index += 1
-    return FigureDataset(kind="sweep_comparison", columns=cols, metadata=config)
+            rows.append((n, gamma, label, analytic, payoff_from_density(rho_ideal, table)[0],
+                         payoff_from_density(result.rho_raw, table)[0]))
+    columns = _columns(("n", "gamma", "label", "payoff_analytic", "payoff_nmr_ideal",
+                        "payoff_tomo_noisy"), rows)
+    return FigureDataset(kind="sweep_comparison", columns=columns, metadata=config)
 
 
 def build_equilibria_dataset(config: dict) -> FigureDataset:
     table = PayoffTable(*config["table"])
     grid = StrategyGrid(*config["grid"])
     report = find_nash_grid(config["gamma"], grid, config["tol"], table)
-    cols = {k: [] for k in ("theta_a", "phi_a", "theta_b", "phi_b", "payoff_a", "payoff_b")}
-    for sa, sb, pa, pb in report.equilibria:
-        cols["theta_a"].append(sa.theta)
-        cols["phi_a"].append(sa.phi)
-        cols["theta_b"].append(sb.theta)
-        cols["phi_b"].append(sb.phi)
-        cols["payoff_a"].append(pa)
-        cols["payoff_b"].append(pb)
-    meta = dict(config)
-    meta["regime"] = report.regime
-    meta["equilibrium_count"] = len(report.equilibria)
-    return FigureDataset(kind="equilibria", columns=cols, metadata=meta)
+    columns = _columns(("theta_a", "phi_a", "theta_b", "phi_b", "payoff_a", "payoff_b"),
+                       [(sa.theta, sa.phi, sb.theta, sb.phi, pa, pb)
+                        for sa, sb, pa, pb in report.equilibria])
+    meta = dict(config, regime=report.regime, equilibrium_count=len(report.equilibria))
+    return FigureDataset(kind="equilibria", columns=columns, metadata=meta)
 
 
 def build_thresholds_dataset(config: dict) -> FigureDataset:
@@ -230,20 +222,9 @@ def build_nmr_report(
         "strategies": strategy_seq.to_text(),
         "disentangler": compile_disentangler(gamma, system).to_text(),
     }
-    return {
-        "version": __version__,
-        "gamma": gamma,
-        "table": list(table.as_tuple()),
-        "noise_angle": noise_angle,
-        "seed": seed,
-        "pulse_sequences": sequences,
-        "density_matrix_re": rho.real.tolist(),
-        "density_matrix_im": rho.imag.tolist(),
-        "payoff_a": pa,
-        "payoff_b": pb,
-        "duration_s": duration,
-        "warnings": warnings,
-    }
+    return _run_report(gamma, table, noise_angle, seed, pulse_sequences=sequences,
+                       density_matrix_re=rho.real.tolist(), density_matrix_im=rho.imag.tolist(),
+                       payoff_a=pa, payoff_b=pb, duration_s=duration, warnings=warnings)
 
 
 def build_tomo_report(
@@ -256,20 +237,10 @@ def build_tomo_report(
     gamma = validate_gamma(gamma)
     records, result = _noisy_trial(gamma, None, table, noise_angle, noise_readout, seed, 0)
     pa, pb = payoff_from_density(result.rho_raw, table)
-    report = {
-        "version": __version__,
-        "gamma": gamma,
-        "table": list(table.as_tuple()),
-        "noise_readout": noise_readout,
-        "noise_angle": noise_angle,
-        "seed": seed,
-        "payoff_a": pa,
-        "payoff_b": pb,
-        "residual_norm": result.residual_norm,
-        "projected": result.projected,
-        "rho_hat_re": result.rho_hat.real.tolist(),
-        "rho_hat_im": result.rho_hat.imag.tolist(),
-    }
+    report = _run_report(gamma, table, noise_angle, seed, noise_readout=noise_readout,
+                         payoff_a=pa, payoff_b=pb, residual_norm=result.residual_norm,
+                         projected=result.projected, rho_hat_re=result.rho_hat.real.tolist(),
+                         rho_hat_im=result.rho_hat.imag.tolist())
     return report, records_to_text(records)
 
 
@@ -306,11 +277,10 @@ def _replay(path: str, expected_kind: str) -> int:
 def _cmd_landscape(args) -> int:
     if args.replay:
         return _replay(args.replay, "landscape")
-    table = _parse_table(args.table)
-    gamma = _preset_gamma(args.preset, table) if args.preset else args.gamma
+    gamma = _preset_gamma(args.preset, args.table) if args.preset else args.gamma
     if gamma is None:
         raise ValueError("landscape needs --gamma or --preset")
-    config = _config(args, table, gamma=float(gamma), steps=args.steps)
+    config = _config(args, gamma=float(gamma), steps=args.steps)
     if args.preset:
         config["preset"] = args.preset
     _write(args.out, render(build_landscape_dataset(config), args.format))
@@ -320,18 +290,16 @@ def _cmd_landscape(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.replay:
         return _replay(args.replay, "sweep_comparison")
-    table = _parse_table(args.table)
     gammas = [float(g) for g in args.gamma] if args.gamma else sweep_gammas()
-    config = _config(args, table, gammas=gammas, noise_angle=args.noise_angle,
+    config = _config(args, gammas=gammas, noise_angle=args.noise_angle,
                      noise_readout=args.noise_readout, seed=args.seed)
     _write(args.out, render(build_sweep_dataset(config), args.format))
     return 0
 
 
 def _cmd_equilibria(args) -> int:
-    table = _parse_table(args.table)
     grid = _parse_grid(args.grid)
-    config = _config(args, table, gamma=float(args.gamma),
+    config = _config(args, gamma=float(args.gamma),
                      grid=[grid.theta_steps, grid.phi_steps], tol=args.tol)
     ds = build_equilibria_dataset(config)
     print(f"regime: {ds.metadata['regime']}, equilibria: {ds.metadata['equilibrium_count']}")
@@ -340,18 +308,16 @@ def _cmd_equilibria(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
-    table = _parse_table(args.table)
-    th = thresholds(table)
+    th = thresholds(args.table)
     print(f"gamma_th1 = {th.gamma_th1:.6f}")
     print(f"gamma_th2 = {th.gamma_th2:.6f}")
     if args.out:
-        _write(args.out, render(build_thresholds_dataset(_config(args, table)), args.format))
+        _write(args.out, render(build_thresholds_dataset(_config(args)), args.format))
     return 0
 
 
 def _cmd_nmr(args) -> int:
-    table = _parse_table(args.table)
-    report = build_nmr_report(args.gamma, args.noise_angle, args.seed, table)
+    report = build_nmr_report(args.gamma, args.noise_angle, args.seed, args.table)
     for w in report["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     print(f"payoffs: ({format_number(report['payoff_a'])}, {format_number(report['payoff_b'])}), "
@@ -366,9 +332,8 @@ def _cmd_nmr(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
-    table = _parse_table(args.table)
     report, records_text = build_tomo_report(
-        args.gamma, args.noise_readout, args.noise_angle, args.seed, table
+        args.gamma, args.noise_readout, args.noise_angle, args.seed, args.table
     )
     print(f"reconstructed payoffs: ({format_number(report['payoff_a'])}, "
           f"{format_number(report['payoff_b'])}), residual {report['residual_norm']:.3e}")
@@ -449,6 +414,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.table = _parse_table(args.table)
         return args.func(args)
     except SystemExit as exc:  # argparse --help/--version or our input errors
         code = exc.code if isinstance(exc.code, int) else 0

@@ -12,6 +12,10 @@ equilibria are R intersected with its transpose.  One pass over blocks of
 opponent moves keeps R as sorted integer keys, and the payoffs are then
 reported from the block products of the reported moves alone, so memory
 grows with the grid, not with its square.
+
+REGIME_LABELS maps each regime to its equilibrium move pairs, written as
+Alice's move then Bob's: DD (classical), DQ and QD (intermediate) and QQ
+(quantum).  The payoff curve and the pulse compiler both read it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,12 @@ from .game import (
 REGIME_CLASSICAL = "classical"
 REGIME_INTERMEDIATE = "intermediate"
 REGIME_QUANTUM = "quantum"
+
+REGIME_LABELS = {
+    REGIME_CLASSICAL: ("DD",),
+    REGIME_INTERMEDIATE: ("DQ", "QD"),
+    REGIME_QUANTUM: ("QQ",),
+}
 
 DEFAULT_TOL = 1e-9
 
@@ -223,9 +233,9 @@ def nash_payoff_curve(
 ) -> list[tuple[float, str, float]]:
     """Alice's equilibrium payoff per gamma: (gamma, equilibrium label, payoff).
 
-    Classical regime emits the mutual-defection row; the intermediate regime
-    emits both asymmetric branches (defector's and quantum player's payoff);
-    the quantum regime emits the mutual-quantum row.
+    One row per label of REGIME_LABELS[regime]: mutual defection, the two
+    asymmetric branches (defector's and quantum player's payoff), or mutual
+    quantum play.
     """
     if gammas is None:
         gammas = sweep_gammas()
@@ -233,15 +243,11 @@ def nash_payoff_curve(
     rows: list[tuple[float, str, float]] = []
     for gamma in gammas:
         gamma = validate_gamma(gamma)
-        regime = classify_regime(gamma, table)
-        if regime == REGIME_QUANTUM:
-            rows.append((gamma, "QQ", float(r)))
-        elif regime == REGIME_INTERMEDIATE:
-            sg2 = math.sin(gamma) ** 2
-            rows.append((gamma, "DQ", t * (1 - sg2) + s * sg2))
-            rows.append((gamma, "QD", s * (1 - sg2) + t * sg2))
-        else:
-            rows.append((gamma, "DD", float(p)))
+        sg2 = math.sin(gamma) ** 2
+        payoff = {"DD": float(p), "DQ": t * (1 - sg2) + s * sg2,
+                  "QD": s * (1 - sg2) + t * sg2, "QQ": float(r)}
+        rows.extend((gamma, label, payoff[label])
+                    for label in REGIME_LABELS[classify_regime(gamma, table)])
     return rows
 
 

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import format_exact
-from .equilibrium import (
-    REGIME_CLASSICAL,
-    REGIME_INTERMEDIATE,
-    classify_regime,
-)
+from .equilibrium import REGIME_LABELS, classify_regime
 from .game import (
     DEFAULT_TABLE,
     PayoffTable,
@@ -197,22 +193,17 @@ def compile_strategies(
 ) -> PulseSequence:
     """Pulse recipe for the Nash-equilibrium moves at this entanglement.
 
-    Classical regime DD, intermediate regime DQ (QD if flip_intermediate),
-    quantum regime QQ.  Equal moves are one non-selective recipe on both
-    spins; unequal ones need selective addressing, and the defector's pulse
-    comes first.
+    The regime's first REGIME_LABELS pair, or its last if flip_intermediate
+    (QD rather than DQ; the other regimes have one pair).  Equal moves are one
+    non-selective recipe on both spins; unequal ones need selective
+    addressing, and the defector's pulse comes first.
     """
-    regime = classify_regime(gamma, table)
-    if regime == REGIME_CLASSICAL:
-        label = "DD"
-    elif regime == REGIME_INTERMEDIATE:
-        if not system.selective_addressing:
-            raise ValueError("intermediate-regime recipe needs selective addressing")
-        label = "QD" if flip_intermediate else "DQ"
-    else:
-        label = "QQ"
+    labels = REGIME_LABELS[classify_regime(gamma, table)]
+    label = labels[-1] if flip_intermediate else labels[0]
     if label[0] == label[1]:
         moves = [("both", label[0])]
+    elif not system.selective_addressing:
+        raise ValueError("intermediate-regime recipe needs selective addressing")
     else:  # a stable sort puts the defector first
         moves = sorted(zip(("alice", "bob"), label), key=lambda tm: tm[1] != "D")
     return PulseSequence(

@@ -241,15 +241,21 @@ def records_to_text(records) -> str:
 
 def records_from_text(text: str) -> list[MeasurementRecord]:
     sigma = 0.0
-    by_setting: dict[str, dict[str, float]] = {}
+    by_setting: dict[ReadoutSetting, dict[str, float]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "noise_sigma":
-                sigma = float(parts[1])
+            if parts[:1] == ["noise_sigma"]:
+                try:
+                    (sigma,) = map(float, parts[1:])
+                except ValueError:  # no number, a second field, or not a number
+                    sigma = math.nan
+                if not 0 <= sigma < math.inf:
+                    raise ValueError(f"line {lineno}: noise_sigma header needs one finite, "
+                                     f"non-negative number, got {raw!r}")
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -259,18 +265,23 @@ def records_from_text(text: str) -> list[MeasurementRecord]:
             raise ValueError(f"unknown observable id {obs_id!r} on line {lineno}")
         if sid.count("-") != 1:
             raise ValueError(f"setting id {sid!r} on line {lineno} is not ALICE-BOB, e.g. x90-none")
-        values = by_setting.setdefault(sid, {})
+        try:
+            setting = ReadoutSetting(*sid.split("-"))
+            value = float(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        values = by_setting.setdefault(setting, {})
         if obs_id in values:
             raise ValueError(f"line {lineno} repeats {sid} {obs_id}")
-        values[obs_id] = float(value)
+        values[obs_id] = value
 
     records = []
-    for sid, values in by_setting.items():
+    for setting, values in by_setting.items():
         if set(values) != set(OBSERVABLE_IDS):
-            raise ValueError(f"setting {sid} is missing observables")
+            raise ValueError(f"setting {setting.id} is missing observables")
         records.append(
             MeasurementRecord(
-                setting=ReadoutSetting(*sid.split("-")),
+                setting=setting,
                 observed_values=tuple(values[o] for o in OBSERVABLE_IDS),
                 noise_sigma=sigma,
             )

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from qdilemma.cli import build_nmr_report, main
+from qdilemma.cli import _columns, _preset_gamma, build_nmr_report, main
 from qdilemma.datasets import read_metadata
+from qdilemma.equilibrium import thresholds
+from qdilemma.game import PayoffTable
 from qdilemma.nmr import SpinSystem
 
 
@@ -86,6 +88,15 @@ class TestLandscapeCommand:
         assert lines[0] == "t_a,t_b,payoff_a"
         row = dict(zip(("t_a", "t_b", "payoff_a"), lines[1].split(",")))
         assert float(row["payoff_a"]) == pytest.approx(3.0, abs=1e-9)  # (-1,-1)
+
+    @pytest.mark.parametrize("table", [PayoffTable(), PayoffTable(4, 0, 6, 2),
+                                       PayoffTable(2.5, 0.5, 3.75, 1.25)],
+                             ids=lambda t: str(t.as_tuple()))
+    def test_presets_are_regime_midpoints(self, table):
+        th = thresholds(table)
+        assert _preset_gamma("fig2", table) == th.gamma_th1 / 2
+        assert _preset_gamma("fig3", table) == (th.gamma_th1 + th.gamma_th2) / 2
+        assert _preset_gamma("fig4", table) == (th.gamma_th2 + math.pi / 2) / 2
 
     def test_needs_gamma_or_preset(self, tmp_path):
         assert run_cli("landscape", "--out", str(tmp_path / "x.csv")) == 1
@@ -299,6 +310,17 @@ class TestParsing:
 
     def test_bad_table_shape(self):
         assert run_cli("thresholds", "--table", "1,2,3") == 1
+
+    def test_bad_table_is_checked_before_replay(self, tmp_path, capsys):
+        out = str(tmp_path / "l.csv")
+        assert run_cli("landscape", "--gamma", "0.3", "--steps", "3", "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("landscape", "--replay", out, "--table", "3,0,5,x") == 1
+        assert capsys.readouterr().err.startswith("error: --table expects")
+
+    def test_columns_without_rows(self):
+        assert _columns(("a", "b"), []) == {"a": [], "b": []}
+        assert _columns(("a", "b"), [(1, 2), (3, 4)]) == {"a": [1, 3], "b": [2, 4]}
 
     def test_bad_grid_shape(self, tmp_path):
         assert run_cli("equilibria", "--gamma", "0.3", "--grid", "61",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qdilemma.equilibrium import nash_payoff_curve, thresholds
 from qdilemma.game import (
     DEFECT,
     QUANTUM,
@@ -128,6 +129,18 @@ class TestStrategyCompilation:
         table = PayoffTable(3, 1, 5, 2)
         assert "DD" in compile_strategies(0.5, table).label
         assert "DQ" in compile_strategies(0.6, table).label
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("table", [PayoffTable(), PayoffTable(4, 0, 6, 2),
+                                       PayoffTable(2.5, 0.5, 3.75, 1.25)],
+                             ids=lambda t: str(t.as_tuple()))
+    def test_label_is_the_payoff_curve_label(self, table, flip):
+        # first curve label unflipped, last flipped: one label outside the intermediate regime
+        th = thresholds(table)
+        for gamma in [*sweep_gammas(), th.gamma_th1, th.gamma_th2]:
+            labels = [label for _, label, _ in nash_payoff_curve(table, [gamma])]
+            compiled = compile_strategies(gamma, table, flip_intermediate=flip).label.split()[1]
+            assert compiled == labels[-1 if flip else 0]
 
 
 class TestSequenceUnitary:

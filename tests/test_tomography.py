@@ -262,6 +262,25 @@ class TestRecordSerialization:
         with pytest.raises(ValueError, match=f"setting id '{sid}' on line {lineno}"):
             records_from_text(text)
 
+    @pytest.mark.parametrize("header", ["# noise_sigma", "# noise_sigma 0.05 x",
+                                        "# noise_sigma abc", "# noise_sigma -0.05"])
+    def test_malformed_noise_header_names_the_line(self, header):
+        text = records_to_text(tomography_records(BELL_LIKE, 0.05, seed=1))
+        with pytest.raises(ValueError, match="line 1: noise_sigma header needs one finite, "
+                                             "non-negative number"):
+            records_from_text(text.replace("# noise_sigma 0.05", header))
+
+    @pytest.mark.parametrize("line, message", [
+        ("x90-y90 pop_cd abc", "could not convert string to float: 'abc'"),
+        ("z90-y90 pop_cd 0.25", "rotation must be one of .* got 'z90'"),
+    ])
+    def test_bad_value_or_rotation_names_the_line(self, line, message):
+        lines = records_to_text(tomography_records(BELL_LIKE)).splitlines()
+        lineno = next(k for k, l in enumerate(lines, 1) if l.startswith("x90-y90 pop_cd "))
+        lines[lineno - 1] = line
+        with pytest.raises(ValueError, match=f"line {lineno}: {message}"):
+            records_from_text("\n".join(lines))
+
 
 class TestMeasurementRecord:
     def test_validation(self):
