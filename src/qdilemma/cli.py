@@ -15,6 +15,8 @@ import numpy as np
 from . import __version__
 from .datasets import FigureDataset, format_number, read_metadata, render
 from .equilibrium import (
+    DEFAULT_GRID,
+    DEFAULT_TOL,
     StrategyGrid,
     find_nash_grid,
     landscape,
@@ -32,12 +34,7 @@ from .nmr import (
     experiment_duration,
     run_experiment,
 )
-from .tomography import (
-    payoff_from_density,
-    reconstruct,
-    records_to_text,
-    tomography_records,
-)
+from .tomography import payoff_from_density, reconstruct, records_to_text, tomography_records
 
 DURATION_BUDGET_S = 0.300
 
@@ -271,12 +268,22 @@ def _replay(path: str, expected_kind: str) -> int:
     return 1
 
 
+def _check_replay_alone(parser, args) -> None:
+    """--replay regenerates a file from its embedded config alone; refuse the
+    other flags of its subcommand rather than ignore them."""
+    alone = parser.parse_args([args.command, f"--replay={args.replay}"])
+    alone.table = _parse_table(alone.table)
+    extra = [k for k, v in vars(args).items() if getattr(alone, k) != v]
+    if extra:
+        flags = ", ".join("--" + k.replace("_", "-") for k in extra)
+        raise ValueError(f"--replay uses the file's embedded config and takes no other "
+                         f"flag, got {flags}")
+
+
 # --- command handlers ---
 
 
 def _cmd_landscape(args) -> int:
-    if args.replay:
-        return _replay(args.replay, "landscape")
     gamma = _preset_gamma(args.preset, args.table) if args.preset else args.gamma
     if gamma is None:
         raise ValueError("landscape needs --gamma or --preset")
@@ -288,8 +295,6 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.replay:
-        return _replay(args.replay, "sweep_comparison")
     gammas = [float(g) for g in args.gamma] if args.gamma else sweep_gammas()
     config = _config(args, gammas=gammas, noise_angle=args.noise_angle,
                      noise_readout=args.noise_readout, seed=args.seed)
@@ -349,21 +354,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt=True):
-        p.add_argument("--table", default="3,0,5,1", metavar="R,S,T,P",
+        p.add_argument("--table", default=",".join(map(str, DEFAULT_TABLE.as_tuple())),
+                       metavar="R,S,T,P",
                        help="payoff table: reward,sucker,temptation,punishment")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("landscape", help="payoff surface over the t-parametrized square")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--preset", choices=PRESETS,
-                   help="canonical entanglement values: below, between and above the thresholds")
+    at = p.add_mutually_exclusive_group()
+    at.add_argument("--gamma", type=float)
+    at.add_argument("--preset", choices=PRESETS,
+                    help="canonical entanglement values: below, between and above the thresholds")
     p.add_argument("--steps", type=int, default=41)
     p.add_argument("--out", default="landscape.csv")
     p.add_argument("--replay", metavar="FILE",
                    help="regenerate FILE from its embedded config and verify bytes match")
     common(p)
-    p.set_defaults(func=_cmd_landscape)
+    p.set_defaults(func=_cmd_landscape, replay_kind="landscape")
 
     p = sub.add_parser("sweep", help="payoff vs entanglement: analytic, ideal pulses, noisy tomography")
     p.add_argument("--gamma", type=float, action="append",
@@ -375,12 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", metavar="FILE",
                    help="regenerate FILE from its embedded config and verify bytes match")
     common(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, replay_kind="sweep_comparison")
 
     p = sub.add_parser("equilibria", help="grid Nash equilibria at one entanglement value")
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--grid", default="61x31", metavar="THETAxPHI")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--grid", default=f"{DEFAULT_GRID.theta_steps}x{DEFAULT_GRID.phi_steps}",
+                   metavar="THETAxPHI")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default="equilibria.csv")
     common(p)
     p.set_defaults(func=_cmd_equilibria)
@@ -415,6 +423,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.table = _parse_table(args.table)
+        if getattr(args, "replay", None):
+            _check_replay_alone(parser, args)
+            return _replay(args.replay, args.replay_kind)
         return args.func(args)
     except SystemExit as exc:  # argparse --help/--version or our input errors
         code = exc.code if isinstance(exc.code, int) else 0

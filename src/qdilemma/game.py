@@ -235,8 +235,6 @@ def payoff_vs_q(
     return float(strategy_features(s.theta, s.phi) @ form @ _QUANTUM_FEATURES)
 
 
-def sweep_gammas(n_points: int = 19) -> list[float]:
-    """The standard entanglement sweep gamma = n pi / 36 for n = 0 .. n_points-1."""
-    if not 1 <= n_points <= 19:
-        raise ValueError("sweep supports 1 to 19 points (gamma must stay in [0, pi/2])")
-    return [n * math.pi / 36 for n in range(n_points)]
+def sweep_gammas() -> list[float]:
+    """The paper's entanglement sweep gamma = n pi / 36 for n = 0 .. 18."""
+    return [n * math.pi / 36 for n in range(19)]

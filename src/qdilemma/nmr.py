@@ -16,11 +16,7 @@ import numpy as np
 
 from .datasets import format_exact
 from .equilibrium import REGIME_LABELS, classify_regime
-from .game import (
-    DEFAULT_TABLE,
-    PayoffTable,
-    validate_gamma,
-)
+from .game import DEFAULT_TABLE, PayoffTable, validate_gamma
 from .linalg import I2, KET_CC, kron2, rotation
 
 NOMINAL_PULSE_WIDTH_S = 1e-3
@@ -31,11 +27,10 @@ TARGETS = ("alice", "bob", "both")
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Two coupled spins: J in Hz, T2 in seconds, selective addressing flag."""
+    """Two coupled spins, addressed one at a time: J in Hz, T2 in seconds."""
 
     j_coupling: float = 7.17
     t2: float = 3.0
-    selective_addressing: bool = True
 
     def __post_init__(self):
         if self.j_coupling <= 0:
@@ -115,10 +110,6 @@ class PulseSequence:
     def free_evolution_time(self) -> float:
         return sum(p.duration_s for p in self.primitives if isinstance(p, Delay))
 
-    def total_duration(self) -> float:
-        pulses = sum(isinstance(p, Pulse) for p in self.primitives)
-        return self.free_evolution_time() + pulses * NOMINAL_PULSE_WIDTH_S
-
     def to_text(self) -> str:
         """Line-oriented form: `PULSE <target> <angle>deg <axis>` / `DELAY <seconds>`."""
         lines = []
@@ -188,22 +179,19 @@ _MOVE_PULSES = {
 def compile_strategies(
     gamma: float,
     table: PayoffTable = DEFAULT_TABLE,
-    system: SpinSystem = DEFAULT_SYSTEM,
     flip_intermediate: bool = False,
 ) -> PulseSequence:
     """Pulse recipe for the Nash-equilibrium moves at this entanglement.
 
     The regime's first REGIME_LABELS pair, or its last if flip_intermediate
     (QD rather than DQ; the other regimes have one pair).  Equal moves are one
-    non-selective recipe on both spins; unequal ones need selective
-    addressing, and the defector's pulse comes first.
+    recipe on both spins; unequal ones address the spins one at a time, and
+    the defector's pulse comes first.
     """
     labels = REGIME_LABELS[classify_regime(gamma, table)]
     label = labels[-1] if flip_intermediate else labels[0]
     if label[0] == label[1]:
         moves = [("both", label[0])]
-    elif not system.selective_addressing:
-        raise ValueError("intermediate-regime recipe needs selective addressing")
     else:  # a stable sort puts the defector first
         moves = sorted(zip(("alice", "bob"), label), key=lambda tm: tm[1] != "D")
     return PulseSequence(
@@ -253,7 +241,7 @@ def _run_sequences(
     the strategies are the equilibrium recipe for this gamma and table."""
     gamma = validate_gamma(gamma)
     if strategy_seq is None:
-        strategy_seq = compile_strategies(gamma, table, system)
+        strategy_seq = compile_strategies(gamma, table)
     return compile_entangler(gamma, system), strategy_seq, compile_disentangler(gamma, system)
 
 
@@ -261,7 +249,7 @@ def run_experiment(
     gamma: float,
     strategy_seq: PulseSequence | None = None,
     system: SpinSystem = DEFAULT_SYSTEM,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NOISELESS,
     table: PayoffTable = DEFAULT_TABLE,
     apply_t2: bool = False,
 ) -> np.ndarray:
@@ -280,7 +268,6 @@ def run_experiment(
     duration) is off by default.
     """
     sequences = _run_sequences(gamma, strategy_seq, system, table)
-    noise = noise if noise is not None else NOISELESS
     j_hz, amp_factor = system.j_coupling, 1.0
     if noise.is_noiseless:
         rngs = [None, None, None]
@@ -315,6 +302,7 @@ def experiment_duration(
     and disentangler periods always sum to a full coupling cycle.
     """
     return sum(
-        seq.total_duration()
+        seq.free_evolution_time()
+        + sum(isinstance(p, Pulse) for p in seq.primitives) * NOMINAL_PULSE_WIDTH_S
         for seq in _run_sequences(gamma, strategy_seq, system, table)
     )

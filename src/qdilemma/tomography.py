@@ -160,8 +160,8 @@ def _null_direction_labels(a: np.ndarray, rank: int) -> list[str]:
 
 
 @functools.lru_cache(maxsize=64)
-def _checked_design(setting_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked design rows and offsets for these settings, in order.
+def _checked_design(setting_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked design rows, offsets and normal matrix for these settings, in order.
 
     Raises, naming the unconstrained Pauli components, if the settings leave
     any parameter direction free; a failing tuple is never cached, so it
@@ -175,13 +175,13 @@ def _checked_design(setting_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarra
             f"readout design is rank deficient ({rank}/{len(PARAM_LABELS)}); "
             f"unconstrained directions: {', '.join(missing)}"
         )
-    return _read_only(a), _read_only(np.concatenate(offsets))
+    return _read_only(a), _read_only(np.concatenate(offsets)), _read_only(a.T @ a)
 
 
-def design_matrix_rank_check(settings=ALL_SETTINGS) -> int:
-    """Rank of the readout design matrix; raises if any parameter direction
-    is unconstrained, naming the offending Pauli components."""
-    _checked_design(tuple(s.id for s in settings))
+def design_matrix_rank_check() -> int:
+    """Rank of the nine-setting readout design matrix; raises if any parameter
+    direction is unconstrained, naming the offending Pauli components."""
+    _checked_design(tuple(s.id for s in ALL_SETTINGS))
     return len(PARAM_LABELS)
 
 
@@ -196,10 +196,9 @@ def reconstruct(records) -> ReconstructionResult:
     records = list(records)
     if not records:
         raise ValueError("no measurement records supplied")
-    a, offsets = _checked_design(tuple(r.setting.id for r in records))
+    a, offsets, normal = _checked_design(tuple(r.setting.id for r in records))
     y = np.concatenate([r.observed_values for r in records]) - offsets
-    m = a.T @ a
-    c = np.linalg.solve(m, a.T @ y)
+    c = np.linalg.solve(normal, a.T @ y)
     residual = float(np.linalg.norm(a @ c - y))
 
     rho = np.eye(4, dtype=complex) / 4.0

@@ -6,10 +6,18 @@ import sys
 
 import pytest
 
-from qdilemma.cli import _columns, _preset_gamma, build_nmr_report, main
+from qdilemma.cli import (
+    _columns,
+    _parse_grid,
+    _parse_table,
+    _preset_gamma,
+    build_nmr_report,
+    build_parser,
+    main,
+)
 from qdilemma.datasets import read_metadata
-from qdilemma.equilibrium import thresholds
-from qdilemma.game import PayoffTable
+from qdilemma.equilibrium import DEFAULT_GRID, DEFAULT_TOL, thresholds
+from qdilemma.game import DEFAULT_TABLE, PayoffTable
 from qdilemma.nmr import SpinSystem
 
 
@@ -104,6 +112,14 @@ class TestLandscapeCommand:
     def test_gamma_bound_error(self, tmp_path):
         assert run_cli("landscape", "--gamma", "2.5", "--out", str(tmp_path / "x.csv")) == 1
 
+    def test_gamma_and_preset_exclude_each_other(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("landscape", "--gamma", "0.3", "--preset", "fig2", "--steps", "2",
+                       "--out", str(out)) == 1
+        assert "error: argument --preset: not allowed with argument --gamma" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_small_sweep_rows(self, tmp_path):
@@ -166,6 +182,28 @@ class TestReplay:
         assert run_cli("landscape", "--gamma", "0.3", "--steps", "5",
                        "--format", "json", "--out", out) == 0
         assert run_cli("landscape", "--replay", out) == 0
+
+    @pytest.mark.parametrize("command, make, extra, named", [
+        ("landscape", ("--gamma", "0.3", "--steps", "3"),
+         ("--steps", "5", "--gamma", "1.0", "--format", "json"), "--gamma, --steps, --format"),
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), ("--table", "4,0,6,2"), "--table"),
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), ("--preset", "fig3"), "--preset"),
+        ("sweep", ("--gamma", "0.6"), ("--seed", "3", "--noise-angle", "0.1"),
+         "--noise-angle, --seed"),
+        ("sweep", ("--gamma", "0.6"), ("--gamma", "0.2", "--out", "{tmp}/y.csv"), "--gamma, --out"),
+    ])
+    def test_replay_refuses_other_flags(self, tmp_path, capsys, command, make, extra, named):
+        out = str(tmp_path / "r.csv")
+        assert run_cli(command, *make, "--out", out) == 0
+        before = read(out)
+        capsys.readouterr()
+        assert run_cli(command, "--replay", out, *(a.format(tmp=tmp_path) for a in extra)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --replay uses the file's embedded config and takes no "
+                                f"other flag, got {named}\n")
+        assert captured.out == ""
+        assert read(out) == before
+        assert os.listdir(tmp_path) == ["r.csv"]
 
     def test_replay_wrong_kind(self, tmp_path):
         out = str(tmp_path / "l.csv")
@@ -317,6 +355,16 @@ class TestParsing:
         capsys.readouterr()
         assert run_cli("landscape", "--replay", out, "--table", "3,0,5,x") == 1
         assert capsys.readouterr().err.startswith("error: --table expects")
+
+    def test_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        args = parser.parse_args(["equilibria", "--gamma", "0.6"])
+        assert _parse_table(args.table) == DEFAULT_TABLE
+        assert _parse_grid(args.grid) == DEFAULT_GRID
+        assert args.tol == DEFAULT_TOL
+        for command in ("landscape", "sweep", "thresholds", "nmr --gamma 0", "tomo --gamma 0"):
+            args = parser.parse_args(command.split())
+            assert _parse_table(args.table) == DEFAULT_TABLE
 
     def test_columns_without_rows(self):
         assert _columns(("a", "b"), []) == {"a": [], "b": []}

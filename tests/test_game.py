@@ -274,5 +274,3 @@ def test_sweep_gammas():
     assert gs[0] == 0.0
     assert gs[18] == pytest.approx(math.pi / 2, abs=1e-15)
     assert gs[10] == pytest.approx(10 * math.pi / 36, abs=1e-15)
-    with pytest.raises(ValueError):
-        sweep_gammas(20)

@@ -5,6 +5,7 @@ import pytest
 
 from qdilemma.game import PayoffTable
 from qdilemma.linalg import (
+    EIGENVALUE_FLOOR,
     KET_CC,
     KET_DD,
     SIGMA_X,
@@ -12,6 +13,7 @@ from qdilemma.linalg import (
     SIGMA_Z,
     I2,
     density_from_state,
+    density_matrix,
     trace_distance,
 )
 from qdilemma.tomography import (
@@ -27,6 +29,7 @@ from qdilemma.tomography import (
     records_to_text,
     simulate_readout,
     tomography_records,
+    _PARAM_MATRICES,
     _design_block,
 )
 
@@ -64,6 +67,26 @@ def _oracle_unitary(setting):
 
 def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
+
+
+def _per_call_reconstruct(records):
+    """reconstruct's arithmetic with the design and its normal matrix rebuilt
+    on every call: (rho_raw, rho_hat, residual_norm)."""
+    blocks, offsets = zip(*(_design_block(r.setting.id) for r in records))
+    a = np.vstack(blocks)
+    y = np.concatenate([r.observed_values for r in records]) - np.concatenate(offsets)
+    c = np.linalg.solve(a.T @ a, a.T @ y)
+    residual = float(np.linalg.norm(a @ c - y))
+    rho = np.eye(4, dtype=complex) / 4.0
+    for coeff, pauli in zip(c, _PARAM_MATRICES):
+        rho = rho + coeff / 4.0 * pauli
+    raw = rho.copy()
+    vals, vecs = np.linalg.eigh(rho)
+    if vals.min() < -EIGENVALUE_FLOOR:
+        vals = np.clip(vals, 0.0, None)
+        vals = vals / vals.sum()
+        rho = (vecs * vals) @ vecs.conj().T
+    return raw, density_matrix(rho), residual
 
 
 class TestSettings:
@@ -148,6 +171,19 @@ class TestReconstruct:
             got_rows, got_offsets = _design_block(setting.id)
             assert _hex(got_rows) == _hex(rows), setting.id
             assert _hex(got_offsets) == _hex(offsets), setting.id
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cached_normal_matrix_is_bitwise_per_call_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        for sigma in (0.0, 0.01, 0.05):
+            records = tomography_records(random_pure_density(rng), sigma, seed=seed)
+            if seed % 2:  # another setting order is another cached design
+                records = records[::-1]
+            raw, hat, residual = _per_call_reconstruct(records)
+            result = reconstruct(records)
+            assert result.rho_raw.tobytes() == raw.tobytes()
+            assert result.rho_hat.tobytes() == hat.tobytes()
+            assert result.residual_norm.hex() == residual.hex()
 
     def test_round_trip_pure_cc(self):
         result = reconstruct(tomography_records(np.diag([1.0, 0, 0, 0])))
