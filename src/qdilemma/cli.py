@@ -186,11 +186,9 @@ def build_thresholds_dataset(config: dict) -> FigureDataset:
     )
 
 
-_BUILDERS = {
+_BUILDERS = {  # the kinds --replay can reach
     "landscape": build_landscape_dataset,
     "sweep_comparison": build_sweep_dataset,
-    "equilibria": build_equilibria_dataset,
-    "thresholds": build_thresholds_dataset,
 }
 
 
@@ -268,22 +266,28 @@ def _replay(path: str, expected_kind: str) -> int:
     return 1
 
 
-def _check_replay_alone(parser, args) -> None:
-    """--replay regenerates a file from its embedded config alone; refuse the
-    other flags of its subcommand rather than ignore them."""
-    alone = parser.parse_args([args.command, f"--replay={args.replay}"])
-    alone.table = _parse_table(alone.table)
-    extra = [k for k, v in vars(args).items() if getattr(alone, k) != v]
+def _typed_flags(args, argv) -> list[str]:
+    """The flags typed in argv, even at their default value, named in full and
+    in declaration order; argparse also takes --flag=value and a unique prefix."""
+    names = [t[2:].partition("=")[0] for t in argv if t.startswith("--") and len(t) > 2]
+    flags = ["--" + k.replace("_", "-") for k in vars(args)
+             if k not in ("command", "func", "replay_kind")]
+    return [f for f in flags if any(f.startswith("--" + n) for n in names)]
+
+
+def _check_replay_alone(args, argv) -> None:
+    """--replay regenerates a file from its embedded config alone; refuse every
+    other flag typed rather than ignore it."""
+    extra = [f for f in _typed_flags(args, argv) if f != "--replay"]
     if extra:
-        flags = ", ".join("--" + k.replace("_", "-") for k in extra)
         raise ValueError(f"--replay uses the file's embedded config and takes no other "
-                         f"flag, got {flags}")
+                         f"flag, got {', '.join(extra)}")
 
 
 # --- command handlers ---
 
 
-def _cmd_landscape(args) -> int:
+def _cmd_landscape(args) -> None:
     gamma = _preset_gamma(args.preset, args.table) if args.preset else args.gamma
     if gamma is None:
         raise ValueError("landscape needs --gamma or --preset")
@@ -291,60 +295,55 @@ def _cmd_landscape(args) -> int:
     if args.preset:
         config["preset"] = args.preset
     _write(args.out, render(build_landscape_dataset(config), args.format))
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     gammas = [float(g) for g in args.gamma] if args.gamma else sweep_gammas()
     config = _config(args, gammas=gammas, noise_angle=args.noise_angle,
                      noise_readout=args.noise_readout, seed=args.seed)
     _write(args.out, render(build_sweep_dataset(config), args.format))
-    return 0
 
 
-def _cmd_equilibria(args) -> int:
+def _cmd_equilibria(args) -> None:
     grid = _parse_grid(args.grid)
     config = _config(args, gamma=float(args.gamma),
                      grid=[grid.theta_steps, grid.phi_steps], tol=args.tol)
     ds = build_equilibria_dataset(config)
     print(f"regime: {ds.metadata['regime']}, equilibria: {ds.metadata['equilibrium_count']}")
     _write(args.out, render(ds, args.format))
-    return 0
 
 
-def _cmd_thresholds(args) -> int:
+def _cmd_thresholds(args) -> None:
     th = thresholds(args.table)
     print(f"gamma_th1 = {th.gamma_th1:.6f}")
     print(f"gamma_th2 = {th.gamma_th2:.6f}")
     if args.out:
         _write(args.out, render(build_thresholds_dataset(_config(args)), args.format))
-    return 0
 
 
-def _cmd_nmr(args) -> int:
+def _write_report(path: str, report: dict, suffix: str, text: str) -> None:
+    """A run report as sorted, indented JSON, then its companion text at path + suffix."""
+    _write(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write(path + suffix, text)
+
+
+def _cmd_nmr(args) -> None:
     report = build_nmr_report(args.gamma, args.noise_angle, args.seed, args.table)
     for w in report["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     print(f"payoffs: ({format_number(report['payoff_a'])}, {format_number(report['payoff_b'])}), "
           f"duration {report['duration_s']:.6f} s")
-    _write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    pulses_path = args.out + ".pulses.txt"
-    listing = "".join(
-        f"# {name}\n{text}" for name, text in report["pulse_sequences"].items()
-    )
-    _write(pulses_path, listing)
-    return 0
+    listing = "".join(f"# {name}\n{text}" for name, text in report["pulse_sequences"].items())
+    _write_report(args.out, report, ".pulses.txt", listing)
 
 
-def _cmd_tomo(args) -> int:
+def _cmd_tomo(args) -> None:
     report, records_text = build_tomo_report(
         args.gamma, args.noise_readout, args.noise_angle, args.seed, args.table
     )
     print(f"reconstructed payoffs: ({format_number(report['payoff_a'])}, "
           f"{format_number(report['payoff_b'])}), residual {report['residual_norm']:.3e}")
-    _write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _write(args.out + ".records.txt", records_text)
-    return 0
+    _write_report(args.out, report, ".records.txt", records_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,12 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qdilemma {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
+    def common(p, func, out, fmt=True, replay_kind=None):
+        """The flags every subcommand shares, after its own."""
+        p.add_argument("--out", default=out)
+        if replay_kind:
+            p.add_argument("--replay", metavar="FILE",
+                           help="regenerate FILE from its embedded config and verify bytes match")
         p.add_argument("--table", default=",".join(map(str, DEFAULT_TABLE.as_tuple())),
                        metavar="R,S,T,P",
                        help="payoff table: reward,sucker,temptation,punishment")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func, replay_kind=replay_kind)
 
     p = sub.add_parser("landscape", help="payoff surface over the t-parametrized square")
     at = p.add_mutually_exclusive_group()
@@ -366,11 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--preset", choices=PRESETS,
                     help="canonical entanglement values: below, between and above the thresholds")
     p.add_argument("--steps", type=int, default=41)
-    p.add_argument("--out", default="landscape.csv")
-    p.add_argument("--replay", metavar="FILE",
-                   help="regenerate FILE from its embedded config and verify bytes match")
-    common(p)
-    p.set_defaults(func=_cmd_landscape, replay_kind="landscape")
+    common(p, _cmd_landscape, "landscape.csv", replay_kind="landscape")
 
     p = sub.add_parser("sweep", help="payoff vs entanglement: analytic, ideal pulses, noisy tomography")
     p.add_argument("--gamma", type=float, action="append",
@@ -378,58 +379,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-angle", type=float, default=0.05)
     p.add_argument("--noise-readout", type=float, default=0.03)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default="sweep.csv")
-    p.add_argument("--replay", metavar="FILE",
-                   help="regenerate FILE from its embedded config and verify bytes match")
-    common(p)
-    p.set_defaults(func=_cmd_sweep, replay_kind="sweep_comparison")
+    common(p, _cmd_sweep, "sweep.csv", replay_kind="sweep_comparison")
 
     p = sub.add_parser("equilibria", help="grid Nash equilibria at one entanglement value")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--grid", default=f"{DEFAULT_GRID.theta_steps}x{DEFAULT_GRID.phi_steps}",
                    metavar="THETAxPHI")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--out", default="equilibria.csv")
-    common(p)
-    p.set_defaults(func=_cmd_equilibria)
+    common(p, _cmd_equilibria, "equilibria.csv")
 
     p = sub.add_parser("thresholds", help="entanglement thresholds of a payoff table")
-    p.add_argument("--out")
-    common(p)
-    p.set_defaults(func=_cmd_thresholds)
+    common(p, _cmd_thresholds, None)
 
     p = sub.add_parser("nmr", help="compile and execute the pulse-level experiment")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--noise-angle", type=float, default=0.0)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default="nmr.json")
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_nmr)
+    common(p, _cmd_nmr, "nmr.json", fmt=False)
 
     p = sub.add_parser("tomo", help="simulated-readout tomography round trip")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--noise-readout", type=float, default=0.0)
     p.add_argument("--noise-angle", type=float, default=0.0)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default="tomo.json")
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_tomo)
+    common(p, _cmd_tomo, "tomo.json", fmt=False)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         args.table = _parse_table(args.table)
-        if getattr(args, "replay", None):
-            _check_replay_alone(parser, args)
+        if getattr(args, "replay", None) is not None:  # --replay "" included
+            _check_replay_alone(args, argv)
             return _replay(args.replay, args.replay_kind)
-        return args.func(args)
+        if args.out is None and "--format" in _typed_flags(args, argv):
+            raise ValueError("--format needs --out: without --out no file is written")
+        args.func(args)
+        return 0
     except SystemExit as exc:  # argparse --help/--version or our input errors
-        code = exc.code if isinstance(exc.code, int) else 0
-        return code
+        return exc.code if isinstance(exc.code, int) else 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

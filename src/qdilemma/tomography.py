@@ -229,9 +229,14 @@ def payoff_from_density(
 
 
 def records_to_text(records) -> str:
-    """Columnar form (setting id, observable id, value), one value per line."""
+    """Columnar form (setting id, observable id, value), one value per line,
+    under the one noise_sigma header that every record shares."""
     records = list(records)
-    lines = [f"# noise_sigma {format_exact(records[0].noise_sigma if records else 0.0)}"]
+    sigmas = sorted({r.noise_sigma for r in records}) or [0.0]
+    if len(sigmas) > 1:
+        raise ValueError("records disagree on noise_sigma "
+                         f"({', '.join(map(format_exact, sigmas))}); the text holds one")
+    lines = [f"# noise_sigma {format_exact(sigmas[0])}"]
     for r in records:
         for obs_id, value in zip(OBSERVABLE_IDS, r.observed_values):
             lines.append(f"{r.setting.id} {obs_id} {format_exact(value)}")

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qdilemma import cli
 from qdilemma.cli import (
     _columns,
     _parse_grid,
@@ -42,6 +43,15 @@ class TestThresholdsCommand:
         assert run_cli("thresholds", "--format", "json", "--out", out) == 0
         payload = json.loads(read(out))
         assert payload["columns"]["gamma_th1"][0] == pytest.approx(0.4636476090008061)
+
+    @pytest.mark.parametrize("fmt", [("--format", "json"), ("--format", "csv"), ("--form=json",)])
+    def test_format_without_out_is_input_error(self, tmp_path, capsys, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("thresholds", *fmt) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --format needs --out: without --out no file is written\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_generalized_table(self, capsys):
         assert run_cli("thresholds", "--table", "3,0,4,1") == 0
@@ -191,6 +201,12 @@ class TestReplay:
         ("sweep", ("--gamma", "0.6"), ("--seed", "3", "--noise-angle", "0.1"),
          "--noise-angle, --seed"),
         ("sweep", ("--gamma", "0.6"), ("--gamma", "0.2", "--out", "{tmp}/y.csv"), "--gamma, --out"),
+        # typed at their default value, abbreviated or as --flag=value
+        ("landscape", ("--gamma", "0.3", "--steps", "3", "--table", "4,0,6,2"),
+         ("--table", "3,0,5,1", "--steps", "41"), "--steps, --table"),
+        ("sweep", ("--gamma", "0.6"), ("--seed", "0"), "--seed"),
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), ("--ste", "41"), "--steps"),
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), ("--format=csv",), "--format"),
     ])
     def test_replay_refuses_other_flags(self, tmp_path, capsys, command, make, extra, named):
         out = str(tmp_path / "r.csv")
@@ -204,6 +220,20 @@ class TestReplay:
         assert captured.out == ""
         assert read(out) == before
         assert os.listdir(tmp_path) == ["r.csv"]
+
+    @pytest.mark.parametrize("flag", ["--rep", "--replay="])
+    def test_replay_accepts_its_own_abbreviation(self, tmp_path, flag):
+        out = str(tmp_path / "l.csv")
+        assert run_cli("landscape", "--gamma", "0.3", "--steps", "3", "--out", out) == 0
+        argv = ["landscape", flag + out] if flag.endswith("=") else ["landscape", flag, out]
+        assert run_cli(*argv) == 0
+
+    def test_empty_replay_path_is_not_ignored(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("landscape", "--preset", "fig3", "--steps", "3", "--replay", "") == 1
+        assert "takes no other flag, got --preset, --steps" in capsys.readouterr().err
+        assert run_cli("landscape", "--replay=") == 2
+        assert os.listdir(tmp_path) == []
 
     def test_replay_wrong_kind(self, tmp_path):
         out = str(tmp_path / "l.csv")
@@ -365,6 +395,14 @@ class TestParsing:
         for command in ("landscape", "sweep", "thresholds", "nmr --gamma 0", "tomo --gamma 0"):
             args = parser.parse_args(command.split())
             assert _parse_table(args.table) == DEFAULT_TABLE
+
+    def test_main_builds_no_parser_per_call(self, monkeypatch, capsys):
+        def fail():
+            raise AssertionError("main must reuse the parser built at import")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        assert run_cli("thresholds") == 0
+        assert "gamma_th1" in capsys.readouterr().out
 
     def test_columns_without_rows(self):
         assert _columns(("a", "b"), []) == {"a": [], "b": []}

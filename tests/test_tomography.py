@@ -280,6 +280,12 @@ class TestRecordSerialization:
         result = reconstruct(records_from_text(records_to_text(records)))
         np.testing.assert_allclose(result.rho_hat, BELL_LIKE, atol=1e-9)
 
+    def test_mixed_noise_sigmas_are_refused(self):
+        records = (tomography_records(BELL_LIKE)[:5]
+                   + tomography_records(BELL_LIKE, 0.05, seed=1)[5:])
+        with pytest.raises(ValueError, match=r"records disagree on noise_sigma \(0, 0\.05\)"):
+            records_to_text(records)
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             records_from_text("none-none pop_cc\n")
