@@ -9,6 +9,7 @@ import math
 
 from qdilemma import (
     NoiseModel,
+    classify_regime,
     compile_disentangler,
     compile_entangler,
     compile_strategies,
@@ -20,26 +21,31 @@ from qdilemma import (
     sequence_unitary,
     sweep_gammas,
 )
+from qdilemma.equilibrium import REGIME_LABELS
 
 gamma = 10 * math.pi / 36  # sweep point n=10, inside the quantum regime
 
 print(f"=== compiled sequences at gamma = {gamma:.4f} ===")
-for seq in (compile_entangler(gamma), compile_strategies(gamma), compile_disentangler(gamma)):
-    print(f"[{seq.label}]")
+run = {
+    "entangler": compile_entangler(gamma),
+    "strategies": compile_strategies(gamma),
+    "disentangler": compile_disentangler(gamma),
+}
+for name, seq in run.items():
+    print(f"[{name}]")
     print(seq.to_text())
 
-fid = fidelity_up_to_phase(sequence_unitary(compile_entangler(gamma)), entangling_gate(gamma))
+fid = fidelity_up_to_phase(sequence_unitary(run["entangler"]), entangling_gate(gamma))
 print(f"entangler fidelity against the ideal gate: {fid:.12f}")
-print(f"modeled run duration: {experiment_duration(gamma) * 1e3:.1f} ms "
+print(f"modeled run duration: {experiment_duration(run.values()) * 1e3:.1f} ms "
       f"(free evolution always totals 2/J = {2 / 7.17 * 1e3:.1f} ms)\n")
 
 print("=== ideal execution across the 19-point sweep ===")
 print("  n  gamma   recipe  payoff_a")
 for n, g in enumerate(sweep_gammas()):
-    seq = compile_strategies(g)
-    rho = run_experiment(g, seq)
+    rho = run_experiment(g, compile_strategies(g))
     pa, _ = payoff_from_density(rho)
-    print(f" {n:2d}  {g:.3f}  {seq.label.split()[1]:>6}  {pa:8.4f}")
+    print(f" {n:2d}  {g:.3f}  {REGIME_LABELS[classify_regime(g)][0]:>6}  {pa:8.4f}")
 
 print("\n=== the same run with 5% pulse-angle noise (three seeds) ===")
 for seed in (0, 1, 2):

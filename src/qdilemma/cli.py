@@ -200,11 +200,15 @@ def build_nmr_report(
     system: SpinSystem = DEFAULT_SYSTEM,
 ) -> dict:
     gamma = validate_gamma(gamma)
-    strategy_seq = compile_strategies(gamma, table)
+    run = {  # the compiled run, in run order
+        "entangler": compile_entangler(gamma, system),
+        "strategies": compile_strategies(gamma, table),
+        "disentangler": compile_disentangler(gamma, system),
+    }
     noise = NoiseModel(rotation_angle_error=noise_angle, seed=seed)
-    rho = run_experiment(gamma, strategy_seq, system, noise, table)
+    rho = run_experiment(gamma, run["strategies"], system, noise, table)
     pa, pb = payoff_from_density(rho, table)
-    duration = experiment_duration(gamma, strategy_seq, system, table)
+    duration = experiment_duration(run.values())
     warnings = []
     if duration >= DURATION_BUDGET_S:
         warnings.append(
@@ -212,11 +216,7 @@ def build_nmr_report(
         )
     if duration >= system.t2:
         warnings.append(f"modeled duration {duration:.6f} s reaches T2 = {system.t2} s")
-    sequences = {
-        "entangler": compile_entangler(gamma, system).to_text(),
-        "strategies": strategy_seq.to_text(),
-        "disentangler": compile_disentangler(gamma, system).to_text(),
-    }
+    sequences = {name: seq.to_text() for name, seq in run.items()}
     return _run_report(gamma, table, noise_angle, seed, pulse_sequences=sequences,
                        density_matrix_re=rho.real.tolist(), density_matrix_im=rho.imag.tolist(),
                        payoff_a=pa, payoff_b=pb, duration_s=duration, warnings=warnings)
@@ -252,6 +252,8 @@ def _replay(path: str, expected_kind: str) -> int:
             raise ValueError(f"file {path} holds a {kind!r} dataset, not {expected_kind!r}")
         if "seed" in meta and not _is_seed(meta["seed"]):
             raise ValueError(f"file {path}: embedded metadata key 'seed' {SEED_RULE}")
+        if isinstance(meta.get("table"), list) and len(meta["table"]) != 4:
+            raise ValueError(f"file {path}: embedded metadata key 'table' must hold four numbers")
         regenerated = render(_BUILDERS[kind](meta), meta["format"])
     except KeyError as exc:
         raise ValueError(f"file {path}: embedded metadata lacks key {exc.args[0]!r}") from None

@@ -10,6 +10,7 @@ the optional T2 damping.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,6 @@ class Delay:
 @dataclass(frozen=True)
 class PulseSequence:
     primitives: tuple[Pulse | Delay, ...]
-    label: str = ""
 
     def __post_init__(self):
         if not self.primitives:
@@ -121,28 +121,27 @@ class PulseSequence:
         return "\n".join(lines) + "\n"
 
 
-def sequence_from_text(text: str, label: str = "") -> PulseSequence:
+def sequence_from_text(text: str) -> PulseSequence:
     prims = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "PULSE" and len(parts) == 4 and parts[2].endswith("deg"):
-            prims.append(Pulse(parts[1], float(parts[2][:-3]), parts[3]))
-        elif parts[0] == "DELAY" and len(parts) == 2:
-            prims.append(Delay(float(parts[1])))
-        else:
+        is_pulse = parts[0] == "PULSE" and len(parts) == 4 and parts[2].endswith("deg")
+        if not is_pulse and not (parts[0] == "DELAY" and len(parts) == 2):
             raise ValueError(f"cannot parse pulse line {lineno}: {raw!r}")
-    return PulseSequence(primitives=tuple(prims), label=label)
+        try:
+            prims.append(Pulse(parts[1], float(parts[2][:-3]), parts[3]) if is_pulse
+                         else Delay(float(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return PulseSequence(primitives=tuple(prims))
 
 
-def _coupling_sequence(t: float, label: str) -> PulseSequence:
+def _coupling_sequence(t: float) -> PulseSequence:
     """90x on both spins, z-z evolution for t seconds, 90(-x) on both spins."""
-    return PulseSequence(
-        primitives=(Pulse("both", 90.0, "x"), Delay(t), Pulse("both", 90.0, "-x")),
-        label=label,
-    )
+    return PulseSequence((Pulse("both", 90.0, "x"), Delay(t), Pulse("both", 90.0, "-x")))
 
 
 def compile_entangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> PulseSequence:
@@ -154,7 +153,7 @@ def compile_entangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> Puls
     """
     gamma = validate_gamma(gamma)
     t = gamma / (math.pi * system.j_coupling)
-    return _coupling_sequence(t, f"entangler gamma={format_exact(gamma)}")
+    return _coupling_sequence(t)
 
 
 def compile_disentangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> PulseSequence:
@@ -165,7 +164,7 @@ def compile_disentangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> P
     # computed as the complement of the entangler period so the pair always
     # sums to exactly 2/J in floating point as well
     t = 2 / system.j_coupling - gamma / (math.pi * system.j_coupling)
-    return _coupling_sequence(t, f"disentangler gamma={format_exact(gamma)}")
+    return _coupling_sequence(t)
 
 
 # (angle_deg, axis) pulses of each equilibrium move on one spin: a 180y pulse
@@ -194,14 +193,9 @@ def compile_strategies(
         moves = [("both", label[0])]
     else:  # a stable sort puts the defector first
         moves = sorted(zip(("alice", "bob"), label), key=lambda tm: tm[1] != "D")
-    return PulseSequence(
-        primitives=tuple(
-            Pulse(target, angle, axis)
-            for target, move in moves
-            for angle, axis in _MOVE_PULSES[move]
-        ),
-        label=f"strategies {label} gamma={format_exact(gamma)}",
-    )
+    return PulseSequence(tuple(
+        Pulse(target, angle, axis) for target, move in moves for angle, axis in _MOVE_PULSES[move]
+    ))
 
 
 def _primitive_unitary(p: Pulse | Delay, j_hz: float, angle_scale: float) -> np.ndarray:
@@ -231,20 +225,6 @@ def _damp_coherences(rho: np.ndarray, dt: float, t2: float) -> np.ndarray:
     return lam * rho + (1 - lam) * diag
 
 
-def _run_sequences(
-    gamma: float,
-    strategy_seq: PulseSequence | None,
-    system: SpinSystem,
-    table: PayoffTable,
-) -> tuple[PulseSequence, PulseSequence, PulseSequence]:
-    """Entangler, strategies and disentangler of one run; without strategy_seq
-    the strategies are the equilibrium recipe for this gamma and table."""
-    gamma = validate_gamma(gamma)
-    if strategy_seq is None:
-        strategy_seq = compile_strategies(gamma, table)
-    return compile_entangler(gamma, system), strategy_seq, compile_disentangler(gamma, system)
-
-
 def run_experiment(
     gamma: float,
     strategy_seq: PulseSequence | None = None,
@@ -267,7 +247,11 @@ def run_experiment(
     order.  T2 damping of coherences (rate 1/t2 over each primitive's
     duration) is off by default.
     """
-    sequences = _run_sequences(gamma, strategy_seq, system, table)
+    gamma = validate_gamma(gamma)
+    if strategy_seq is None:
+        strategy_seq = compile_strategies(gamma, table)
+    sequences = (compile_entangler(gamma, system), strategy_seq,
+                 compile_disentangler(gamma, system))
     j_hz, amp_factor = system.j_coupling, 1.0
     if noise.is_noiseless:
         rngs = [None, None, None]
@@ -290,13 +274,9 @@ def run_experiment(
     return rho
 
 
-def experiment_duration(
-    gamma: float,
-    strategy_seq: PulseSequence | None = None,
-    system: SpinSystem = DEFAULT_SYSTEM,
-    table: PayoffTable = DEFAULT_TABLE,
-) -> float:
-    """Modeled wall time of a run: free evolution plus nominal pulse widths.
+def experiment_duration(sequences: Iterable[PulseSequence]) -> float:
+    """Modeled wall time of a compiled run, its sequences in run order: free
+    evolution plus nominal pulse widths.
 
     The free-evolution part is 2/J independent of gamma, since the entangler
     and disentangler periods always sum to a full coupling cycle.
@@ -304,5 +284,5 @@ def experiment_duration(
     return sum(
         seq.free_evolution_time()
         + sum(isinstance(p, Pulse) for p in seq.primitives) * NOMINAL_PULSE_WIDTH_S
-        for seq in _run_sequences(gamma, strategy_seq, system, table)
+        for seq in sequences
     )

@@ -164,13 +164,12 @@ def test_criterion_6_pulse_compilation():
         ent = compile_entangler(gamma)
         dis = compile_disentangler(gamma)
         strat = compile_strategies(gamma)
+        pair = nash_payoff_curve(DEFAULT_TABLE, [gamma])[0][1]
         worst = min(
             worst,
             fidelity_up_to_phase(sequence_unitary(ent), entangling_gate(gamma)),
             fidelity_up_to_phase(sequence_unitary(dis), disentangling_gate(gamma)),
-            fidelity_up_to_phase(
-                sequence_unitary(strat), ideal_strategy[strat.label.split()[1]]
-            ),
+            fidelity_up_to_phase(sequence_unitary(strat), ideal_strategy[pair]),
         )
         assert ent.free_evolution_time() + dis.free_evolution_time() == 2 / 7.17
     assert worst >= 1 - 1e-9

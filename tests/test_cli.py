@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -24,6 +26,15 @@ from qdilemma.nmr import SpinSystem
 
 def run_cli(*args):
     return main(list(args))
+
+
+def _load_tracer():
+    """The benchmark's span recorder, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def read(path):
@@ -296,6 +307,28 @@ class TestReplay:
         err = capsys.readouterr().err
         assert f"error: file {out}: embedded metadata key 'seed' must be a non-negative integer" in err
 
+    @pytest.mark.parametrize("table", [[3.0, 0.0, 5.0], []])
+    @pytest.mark.parametrize("command,args", [
+        ("landscape", ("--gamma", "0.3", "--steps", "3")),
+        ("sweep", ("--gamma", "0.6", "--seed", "2")),
+    ])
+    def test_replay_refuses_a_table_that_is_not_four_numbers(self, tmp_path, capsys, command,
+                                                             args, table):
+        # the builders would fill missing entries from the default table
+        out = str(tmp_path / "d.csv")
+        assert run_cli(command, *args, "--out", out) == 0
+        meta_line, rest = read(out).split("\n", 1)
+        meta = json.loads(meta_line[len("# meta: "):])
+        meta["table"] = table
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("# meta: " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert run_cli(command, "--replay", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: file {out}: embedded metadata key 'table' "
+                                "must hold four numbers\n")
+        assert captured.out == ""
+
 
 class TestNmrCommand:
     def test_writes_report_and_pulse_listing(self, tmp_path):
@@ -319,6 +352,17 @@ class TestNmrCommand:
     def test_invalid_gamma_names_the_bound(self, tmp_path, capsys):
         assert run_cli("nmr", "--gamma", "2.0", "--out", str(tmp_path / "x.json")) == 1
         assert "[0, pi/2]" in capsys.readouterr().err
+
+    def test_report_compiles_each_sequence_once(self, tmp_path):
+        # the listing and the duration read one compiled run; run_experiment
+        # still compiles its own entangler and disentangler
+        recorder = _load_tracer().Recorder()
+        with recorder.installed():
+            assert run_cli("nmr", "--gamma", "0.6", "--out", str(tmp_path / "n.json")) == 0
+        compiles = [s for s in recorder.spans if s.name == "nmr.compile"]
+        assert len(compiles) == 5
+        assert sum(s.parent is not None and s.parent.name == "nmr.run_experiment"
+                   for s in compiles) == 2
 
     def test_duration_warning_logic(self):
         # a weaker coupling stretches the free evolution to 2/J = 0.333 s

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdilemma.equilibrium import nash_payoff_curve, thresholds
+from qdilemma import nmr
+from qdilemma.equilibrium import REGIME_LABELS, classify_regime, nash_payoff_curve, thresholds
 from qdilemma.game import (
     DEFECT,
     QUANTUM,
@@ -35,7 +36,22 @@ from qdilemma.nmr import (
 
 J_DEFAULT = 7.17
 
-# experiment_duration(n pi / 36).hex() for n = 0 .. 18: the duration_s bytes
+MOVES = {"D": DEFECT, "Q": QUANTUM}
+
+
+def compiles_pair(seq, pair):
+    """Whether seq compiles the equilibrium pair, e.g. "DQ": Alice's move on the first spin."""
+    ideal = np.kron(strategy_unitary(MOVES[pair[0]]), strategy_unitary(MOVES[pair[1]]))
+    return fidelity_up_to_phase(sequence_unitary(seq), ideal) >= 1 - 1e-9
+
+
+def compiled_run(gamma, flip=False):
+    """Entangler, equilibrium strategies and disentangler, in run order."""
+    return (compile_entangler(gamma), compile_strategies(gamma, flip_intermediate=flip),
+            compile_disentangler(gamma))
+
+
+# experiment_duration(compiled_run(n pi / 36)).hex() for n = 0 .. 18: the duration_s bytes
 # of every nmr report follow from these sums
 _DD, _DD_LOW, _DQ, _QQ = ("0x1.22c12cb751fddp-2", "0x1.22c12cb751fdcp-2",
                           "0x1.25d39b4edf4dbp-2", "0x1.24cd7671b0331p-2")
@@ -125,8 +141,8 @@ class TestStrategyCompilation:
 
     def test_regime_selection_respects_the_table(self):
         table = PayoffTable(3, 1, 5, 2)
-        assert "DD" in compile_strategies(0.5, table).label
-        assert "DQ" in compile_strategies(0.6, table).label
+        assert compiles_pair(compile_strategies(0.5, table), "DD")
+        assert compiles_pair(compile_strategies(0.6, table), "DQ")
 
     @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("table", [PayoffTable(), PayoffTable(4, 0, 6, 2),
@@ -137,8 +153,8 @@ class TestStrategyCompilation:
         th = thresholds(table)
         for gamma in [*sweep_gammas(), th.gamma_th1, th.gamma_th2]:
             labels = [label for _, label, _ in nash_payoff_curve(table, [gamma])]
-            compiled = compile_strategies(gamma, table, flip_intermediate=flip).label.split()[1]
-            assert compiled == labels[-1 if flip else 0]
+            compiled = compile_strategies(gamma, table, flip_intermediate=flip)
+            assert compiles_pair(compiled, labels[-1 if flip else 0])
 
 
 class TestSequenceUnitary:
@@ -220,20 +236,27 @@ class TestSerialization:
             compile_disentangler(0.37),
             compile_strategies(0.55),
         ):
-            again = sequence_from_text(seq.to_text(), label=seq.label)
-            assert again.primitives == seq.primitives
+            assert sequence_from_text(seq.to_text()) == seq
 
     @pytest.mark.parametrize("gamma, flip, listing", STRATEGY_LISTINGS)
     def test_strategy_golden_listing(self, gamma, flip, listing):
         seq = compile_strategies(gamma, flip_intermediate=flip)
         assert seq.to_text() == listing
-        assert sequence_from_text(listing, label=seq.label) == seq
+        assert sequence_from_text(listing) == seq
+        labels = REGIME_LABELS[classify_regime(gamma)]
+        assert compiles_pair(seq, labels[-1 if flip else 0])
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             sequence_from_text("WAIT 1.0\n")
         with pytest.raises(ValueError):
             sequence_from_text("DELAY -0.1\n")
+
+    @pytest.mark.parametrize("bad", ["DELAY -1", "DELAY nan", "PULSE both abcdeg x",
+                                     "PULSE both 90deg z", "PULSE carol 90deg x"])
+    def test_bad_values_name_their_line(self, bad):
+        with pytest.raises(ValueError, match=r"^line 2: "):
+            sequence_from_text(f"PULSE both 90deg x\n{bad}\n")
 
 
 class TestNoise:
@@ -288,12 +311,9 @@ class TestRunExperiment:
     def test_matches_ideal_pipeline(self, n):
         gamma = n * math.pi / 36
         seq = compile_strategies(gamma)
-        label = seq.label
-        sa, sb = {
-            "DD": (DEFECT, DEFECT),
-            "DQ": (DEFECT, QUANTUM),
-            "QQ": (QUANTUM, QUANTUM),
-        }[label.split()[1]]
+        pair = REGIME_LABELS[classify_regime(gamma)][0]
+        assert compiles_pair(seq, pair)
+        sa, sb = MOVES[pair[0]], MOVES[pair[1]]
         rho = run_experiment(gamma, seq)
         np.testing.assert_allclose(
             np.diag(rho).real, play(gamma, sa, sb).probabilities, atol=1e-9
@@ -313,13 +333,28 @@ class TestRunExperiment:
 class TestDuration:
     @pytest.mark.parametrize("gamma", sweep_gammas())
     def test_under_the_300ms_budget(self, gamma):
-        assert experiment_duration(gamma) < 0.300
+        assert experiment_duration(compiled_run(gamma)) < 0.300
 
     @pytest.mark.parametrize("gamma, golden", zip(sweep_gammas(), DURATION_HEX))
     def test_duration_is_bit_stable(self, gamma, golden):
-        assert experiment_duration(gamma).hex() == golden
+        assert experiment_duration(compiled_run(gamma)).hex() == golden
 
     def test_widths_enter_the_budget(self):
         # four bracketing pulses plus the three of the quantum sandwich
-        total = experiment_duration(math.pi / 2)
+        total = experiment_duration(compiled_run(math.pi / 2))
         assert total == pytest.approx(2 / J_DEFAULT + 7 * NOMINAL_PULSE_WIDTH_S, abs=1e-15)
+
+    def test_reads_the_compiled_run_and_compiles_nothing(self, monkeypatch):
+        runs = [compiled_run(gamma) for gamma in sweep_gammas()]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("experiment_duration compiled a sequence")
+
+        for name in ("compile_entangler", "compile_disentangler", "compile_strategies"):
+            monkeypatch.setattr(nmr, name, refuse)
+        assert [experiment_duration(run).hex() for run in runs] == DURATION_HEX
+
+    def test_flipped_run_takes_as_long(self):
+        dq, qd = compiled_run(0.6), compiled_run(0.6, flip=True)
+        assert dq[1] != qd[1]
+        assert experiment_duration(qd) == experiment_duration(dq)
