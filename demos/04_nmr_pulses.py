@@ -1,6 +1,7 @@
 """Compile the game to two-spin pulse sequences and execute them.
 
-Every gate becomes hard pulses plus z-z free evolution at J = 7.17 Hz.
+Every gate becomes hard pulses plus z-z free evolution at the sample's
+coupling J_COUPLING_HZ.
 The compiled sequences are checked against the ideal gates, then the whole
 experiment runs pulse by pulse, with and without pulse-angle noise.
 """
@@ -22,6 +23,7 @@ from qdilemma import (
     sweep_gammas,
 )
 from qdilemma.equilibrium import REGIME_LABELS
+from qdilemma.nmr import J_COUPLING_HZ
 
 gamma = 10 * math.pi / 36  # sweep point n=10, inside the quantum regime
 
@@ -38,7 +40,7 @@ for name, seq in run.items():
 fid = fidelity_up_to_phase(sequence_unitary(run["entangler"]), entangling_gate(gamma))
 print(f"entangler fidelity against the ideal gate: {fid:.12f}")
 print(f"modeled run duration: {experiment_duration(run.values()) * 1e3:.1f} ms "
-      f"(free evolution always totals 2/J = {2 / 7.17 * 1e3:.1f} ms)\n")
+      f"(free evolution always totals 2/J = {2 / J_COUPLING_HZ * 1e3:.1f} ms)\n")
 
 print("=== ideal execution across the 19-point sweep ===")
 print("  n  gamma   recipe  payoff_a")

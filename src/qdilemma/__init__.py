@@ -48,13 +48,11 @@ from .linalg import (
     trace_distance,
 )
 from .nmr import (
-    DEFAULT_SYSTEM,
     NOISELESS,
     NoiseModel,
     Delay,
     Pulse,
     PulseSequence,
-    SpinSystem,
     compile_disentangler,
     compile_entangler,
     compile_strategies,

@@ -25,9 +25,7 @@ from .equilibrium import (
 )
 from .game import DEFAULT_TABLE, PayoffTable, sweep_gammas, validate_gamma
 from .nmr import (
-    DEFAULT_SYSTEM,
     NoiseModel,
-    SpinSystem,
     compile_disentangler,
     compile_entangler,
     compile_strategies,
@@ -35,8 +33,6 @@ from .nmr import (
     run_experiment,
 )
 from .tomography import payoff_from_density, reconstruct, records_to_text, tomography_records
-
-DURATION_BUDGET_S = 0.300
 
 PRESETS = ("fig2", "fig3", "fig4")
 
@@ -67,6 +63,8 @@ def _parse_grid(raw: str) -> StrategyGrid:
 
 def _preset_gamma(name: str, table: PayoffTable) -> float:
     """Midpoint of the preset's gamma range: classical, intermediate or quantum."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}, expected one of {', '.join(PRESETS)}")
     th = thresholds(table)
     bounds = (0.0, th.gamma_th1, th.gamma_th2, math.pi / 2)
     k = PRESETS.index(name)
@@ -133,6 +131,11 @@ def _write(path: str, text: str) -> None:
 def build_landscape_dataset(config: dict) -> FigureDataset:
     table = PayoffTable(*config["table"])
     gamma = validate_gamma(config["gamma"])
+    if "preset" in config:
+        expected = _preset_gamma(config["preset"], table)
+        if gamma != expected:
+            raise ValueError(f"preset {config['preset']!r} is gamma {expected!r}, "
+                             f"not the embedded gamma {gamma!r}")
     ts, payoff = landscape(gamma, config["steps"], table)
     n = len(ts)
     return FigureDataset(
@@ -197,29 +200,21 @@ def build_nmr_report(
     noise_angle: float = 0.0,
     seed: int = 0,
     table: PayoffTable = DEFAULT_TABLE,
-    system: SpinSystem = DEFAULT_SYSTEM,
 ) -> dict:
     gamma = validate_gamma(gamma)
     run = {  # the compiled run, in run order
-        "entangler": compile_entangler(gamma, system),
+        "entangler": compile_entangler(gamma),
         "strategies": compile_strategies(gamma, table),
-        "disentangler": compile_disentangler(gamma, system),
+        "disentangler": compile_disentangler(gamma),
     }
     noise = NoiseModel(rotation_angle_error=noise_angle, seed=seed)
-    rho = run_experiment(gamma, run["strategies"], system, noise, table)
+    rho = run_experiment(gamma, run["strategies"], noise=noise)
     pa, pb = payoff_from_density(rho, table)
-    duration = experiment_duration(run.values())
-    warnings = []
-    if duration >= DURATION_BUDGET_S:
-        warnings.append(
-            f"modeled duration {duration:.6f} s exceeds the {DURATION_BUDGET_S:.3f} s budget"
-        )
-    if duration >= system.t2:
-        warnings.append(f"modeled duration {duration:.6f} s reaches T2 = {system.t2} s")
     sequences = {name: seq.to_text() for name, seq in run.items()}
     return _run_report(gamma, table, noise_angle, seed, pulse_sequences=sequences,
                        density_matrix_re=rho.real.tolist(), density_matrix_im=rho.imag.tolist(),
-                       payoff_a=pa, payoff_b=pb, duration_s=duration, warnings=warnings)
+                       payoff_a=pa, payoff_b=pb, duration_s=experiment_duration(run.values()),
+                       warnings=[])
 
 
 def build_tomo_report(
@@ -242,7 +237,7 @@ def build_tomo_report(
 # --- replay ---
 
 
-def _replay(path: str, expected_kind: str) -> int:
+def _replay(path: str, command: str, expected_kind: str) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         original = fh.read()
     try:
@@ -250,11 +245,17 @@ def _replay(path: str, expected_kind: str) -> int:
         kind = meta.pop("kind")
         if kind != expected_kind:
             raise ValueError(f"file {path} holds a {kind!r} dataset, not {expected_kind!r}")
+        if meta["command"] != command:
+            raise ValueError(f"file {path}: embedded metadata key 'command' is "
+                             f"{meta['command']!r}, not {command!r}")
         if "seed" in meta and not _is_seed(meta["seed"]):
             raise ValueError(f"file {path}: embedded metadata key 'seed' {SEED_RULE}")
         if isinstance(meta.get("table"), list) and len(meta["table"]) != 4:
             raise ValueError(f"file {path}: embedded metadata key 'table' must hold four numbers")
-        regenerated = render(_BUILDERS[kind](meta), meta["format"])
+        try:
+            regenerated = render(_BUILDERS[kind](meta), meta["format"])
+        except ValueError as exc:  # the builder's and render's errors do not name the file
+            raise ValueError(f"file {path}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"file {path}: embedded metadata lacks key {exc.args[0]!r}") from None
     except TypeError as exc:
@@ -331,8 +332,6 @@ def _write_report(path: str, report: dict, suffix: str, text: str) -> None:
 
 def _cmd_nmr(args) -> None:
     report = build_nmr_report(args.gamma, args.noise_angle, args.seed, args.table)
-    for w in report["warnings"]:
-        print(f"warning: {w}", file=sys.stderr)
     print(f"payoffs: ({format_number(report['payoff_a'])}, {format_number(report['payoff_b'])}), "
           f"duration {report['duration_s']:.6f} s")
     listing = "".join(f"# {name}\n{text}" for name, text in report["pulse_sequences"].items())
@@ -420,7 +419,7 @@ def main(argv=None) -> int:
         args.table = _parse_table(args.table)
         if getattr(args, "replay", None) is not None:  # --replay "" included
             _check_replay_alone(args, argv)
-            return _replay(args.replay, args.replay_kind)
+            return _replay(args.replay, args.command, args.replay_kind)
         if args.out is None and "--format" in _typed_flags(args, argv):
             raise ValueError("--format needs --out: without --out no file is written")
         args.func(args)

@@ -20,6 +20,10 @@ GAMMA_MAX = math.pi / 2
 
 
 def validate_gamma(gamma: float) -> float:
+    """gamma as a float in [0, pi/2]; a string or a bool is not a number here,
+    though float() would take either."""
+    if isinstance(gamma, (bool, str)):
+        raise ValueError(f"entanglement parameter must be a number, got {gamma!r}")
     gamma = float(gamma)
     if not 0.0 <= gamma <= GAMMA_MAX:
         raise ValueError(f"entanglement parameter must lie in [0, pi/2], got {gamma}")

@@ -22,25 +22,13 @@ from .linalg import I2, KET_CC, kron2, rotation
 
 NOMINAL_PULSE_WIDTH_S = 1e-3
 
+# The sample's constants: the J coupling between the two spins, in Hz, and
+# the coherence time T2, in seconds.
+J_COUPLING_HZ = 7.17
+T2_S = 3.0
+
 AXES = ("x", "-x", "y", "-y")
 TARGETS = ("alice", "bob", "both")
-
-
-@dataclass(frozen=True)
-class SpinSystem:
-    """Two coupled spins, addressed one at a time: J in Hz, T2 in seconds."""
-
-    j_coupling: float = 7.17
-    t2: float = 3.0
-
-    def __post_init__(self):
-        if self.j_coupling <= 0:
-            raise ValueError("j_coupling must be positive")
-        if self.t2 <= 0:
-            raise ValueError("t2 must be positive")
-
-
-DEFAULT_SYSTEM = SpinSystem()
 
 
 @dataclass(frozen=True)
@@ -144,7 +132,7 @@ def _coupling_sequence(t: float) -> PulseSequence:
     return PulseSequence((Pulse("both", 90.0, "x"), Delay(t), Pulse("both", 90.0, "-x")))
 
 
-def compile_entangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> PulseSequence:
+def compile_entangler(gamma: float) -> PulseSequence:
     """Entangling gate as 90x on both spins, z-z evolution for
     gamma / (pi J) seconds, then 90(-x) on both spins.
 
@@ -152,18 +140,18 @@ def compile_entangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> Puls
     the composite equals the ideal gate including global phase.
     """
     gamma = validate_gamma(gamma)
-    t = gamma / (math.pi * system.j_coupling)
+    t = gamma / (math.pi * J_COUPLING_HZ)
     return _coupling_sequence(t)
 
 
-def compile_disentangler(gamma: float, system: SpinSystem = DEFAULT_SYSTEM) -> PulseSequence:
+def compile_disentangler(gamma: float) -> PulseSequence:
     """Same bracketing pulses as the entangler with the free evolution set to
     (2 pi - gamma) / (pi J): time only runs forward, so the inverse gate is
     reached by completing the full 2 pi z-z rotation (a global phase)."""
     gamma = validate_gamma(gamma)
     # computed as the complement of the entangler period so the pair always
     # sums to exactly 2/J in floating point as well
-    t = 2 / system.j_coupling - gamma / (math.pi * system.j_coupling)
+    t = 2 / J_COUPLING_HZ - gamma / (math.pi * J_COUPLING_HZ)
     return _coupling_sequence(t)
 
 
@@ -210,17 +198,17 @@ def _primitive_unitary(p: Pulse | Delay, j_hz: float, angle_scale: float) -> np.
     return kron2(r, r)
 
 
-def sequence_unitary(seq: PulseSequence, system: SpinSystem = DEFAULT_SYSTEM) -> np.ndarray:
+def sequence_unitary(seq: PulseSequence) -> np.ndarray:
     """Noiseless ordered product of the primitive unitaries (first primitive
     acts first)."""
     u = np.eye(4, dtype=complex)
     for p in seq.primitives:
-        u = _primitive_unitary(p, system.j_coupling, 1.0) @ u
+        u = _primitive_unitary(p, J_COUPLING_HZ, 1.0) @ u
     return u
 
 
-def _damp_coherences(rho: np.ndarray, dt: float, t2: float) -> np.ndarray:
-    lam = math.exp(-dt / t2)
+def _damp_coherences(rho: np.ndarray, dt: float) -> np.ndarray:
+    lam = math.exp(-dt / T2_S)
     diag = np.diag(np.diag(rho))
     return lam * rho + (1 - lam) * diag
 
@@ -228,7 +216,7 @@ def _damp_coherences(rho: np.ndarray, dt: float, t2: float) -> np.ndarray:
 def run_experiment(
     gamma: float,
     strategy_seq: PulseSequence | None = None,
-    system: SpinSystem = DEFAULT_SYSTEM,
+    *,
     noise: NoiseModel = NOISELESS,
     table: PayoffTable = DEFAULT_TABLE,
     apply_t2: bool = False,
@@ -244,15 +232,14 @@ def run_experiment(
     and then its pulse-amplitude factor, each 1 + N(0, field_inhomogeneity).
     With an angle error, each pulse then scales its angle by
     1 + N(0, rotation_angle_error) from its own sequence's stream, in pulse
-    order.  T2 damping of coherences (rate 1/t2 over each primitive's
+    order.  T2 damping of coherences (rate 1/T2_S over each primitive's
     duration) is off by default.
     """
     gamma = validate_gamma(gamma)
     if strategy_seq is None:
         strategy_seq = compile_strategies(gamma, table)
-    sequences = (compile_entangler(gamma, system), strategy_seq,
-                 compile_disentangler(gamma, system))
-    j_hz, amp_factor = system.j_coupling, 1.0
+    sequences = (compile_entangler(gamma), strategy_seq, compile_disentangler(gamma))
+    j_hz, amp_factor = J_COUPLING_HZ, 1.0
     if noise.is_noiseless:
         rngs = [None, None, None]
     else:
@@ -270,7 +257,7 @@ def run_experiment(
             u = _primitive_unitary(p, j_hz, scale)
             rho = u @ rho @ u.conj().T
             if apply_t2:
-                rho = _damp_coherences(rho, p.duration_s, system.t2)
+                rho = _damp_coherences(rho, p.duration_s)
     return rho
 
 

@@ -14,14 +14,12 @@ from qdilemma.cli import (
     _parse_grid,
     _parse_table,
     _preset_gamma,
-    build_nmr_report,
     build_parser,
     main,
 )
 from qdilemma.datasets import read_metadata
 from qdilemma.equilibrium import DEFAULT_GRID, DEFAULT_TOL, thresholds
 from qdilemma.game import DEFAULT_TABLE, PayoffTable
-from qdilemma.nmr import SpinSystem
 
 
 def run_cli(*args):
@@ -329,6 +327,60 @@ class TestReplay:
                                 "must hold four numbers\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command,args,key,value,shown", [
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", "0.3", "'0.3'"),
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", True, "True"),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "gammas", ["0.6"], "'0.6'"),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "gammas", [True], "True"),
+    ])
+    def test_replay_refuses_a_gamma_that_is_not_a_number(self, tmp_path, capsys, command, args,
+                                                         key, value, shown):
+        # the config regenerates the same bytes, so only the gamma check refuses it
+        out = str(tmp_path / "d.csv")
+        assert run_cli(command, *args, "--out", out) == 0
+        meta_line, rest = read(out).split("\n", 1)
+        meta = json.loads(meta_line[len("# meta: "):])
+        meta[key] = value
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("# meta: " + json.dumps(meta) + "\n" + rest)
+        capsys.readouterr()
+        assert run_cli(command, "--replay", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: file {out}: entanglement parameter must be a number, "
+                                f"got {shown}\n")
+        assert captured.out == ""
+
+    def test_replay_names_the_file_for_a_builder_error(self, tmp_path, capsys):
+        out = str(tmp_path / "s.csv")
+        assert run_cli("sweep", "--gamma", "0.6", "--seed", "2", "--out", out) == 0
+        text = read(out).replace('"noise_readout":0.03', '"noise_readout":-1', 1)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        assert run_cli("sweep", "--replay", out) == 1
+        assert capsys.readouterr().err == (f"error: file {out}: noise_sigma must be finite and "
+                                           "non-negative, got -1.0\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"command":"landscape"', '"command":"sweep"',
+         "embedded metadata key 'command' is 'sweep', not 'landscape'"),
+        ('"preset":"fig3"', '"preset":"fig9"',
+         "unknown preset 'fig9', expected one of fig2, fig3, fig4"),
+        ('"preset":"fig3"', '"preset":"fig2"',
+         "preset 'fig2' is gamma {fig2!r}, not the embedded gamma {fig3!r}"),
+    ])
+    def test_replay_refuses_metadata_no_command_writes(self, tmp_path, capsys, old, new, message):
+        out = str(tmp_path / "l.csv")
+        assert run_cli("landscape", "--preset", "fig3", "--steps", "3", "--out", out) == 0
+        text = read(out)
+        assert old in text
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new, 1))
+        capsys.readouterr()
+        assert run_cli("landscape", "--replay", out) == 1
+        midpoints = {name: _preset_gamma(name, DEFAULT_TABLE) for name in ("fig2", "fig3")}
+        assert capsys.readouterr().err == f"error: file {out}: {message.format(**midpoints)}\n"
+
 
 class TestNmrCommand:
     def test_writes_report_and_pulse_listing(self, tmp_path):
@@ -363,14 +415,6 @@ class TestNmrCommand:
         assert len(compiles) == 5
         assert sum(s.parent is not None and s.parent.name == "nmr.run_experiment"
                    for s in compiles) == 2
-
-    def test_duration_warning_logic(self):
-        # a weaker coupling stretches the free evolution to 2/J = 0.333 s
-        report = build_nmr_report(math.pi / 2, system=SpinSystem(j_coupling=6.0))
-        assert any("budget" in w for w in report["warnings"])
-        # a pathologically short T2 triggers the decoherence warning
-        report = build_nmr_report(math.pi / 2, system=SpinSystem(t2=0.2))
-        assert any("T2" in w for w in report["warnings"])
 
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = str(tmp_path / "nope" / "run.json")

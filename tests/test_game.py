@@ -20,6 +20,7 @@ from qdilemma.game import (
     play,
     strategy_unitary,
     sweep_gammas,
+    validate_gamma,
 )
 from qdilemma.linalg import KET_CC, KET_DD, apply
 
@@ -89,6 +90,13 @@ class TestEntangler:
             entangling_gate(-0.01)
         with pytest.raises(ValueError):
             entangling_gate(math.pi / 2 + 0.01)
+
+    @pytest.mark.parametrize("bad, shown", [("0.3", "'0.3'"), (True, "True"), (False, "False")])
+    def test_gamma_must_be_a_number(self, bad, shown):
+        # float() would take each of these
+        with pytest.raises(ValueError, match=f"^entanglement parameter must be a number, "
+                                             f"got {shown}$"):
+            validate_gamma(bad)
 
 
 class TestDisentangler:

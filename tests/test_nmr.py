@@ -17,14 +17,14 @@ from qdilemma.game import (
 )
 from qdilemma.linalg import I2, KET_CC, fidelity_up_to_phase, rotation
 from qdilemma.nmr import (
-    DEFAULT_SYSTEM,
+    J_COUPLING_HZ,
     NOISELESS,
     NOMINAL_PULSE_WIDTH_S,
     Delay,
     NoiseModel,
     Pulse,
     PulseSequence,
-    SpinSystem,
+    T2_S,
     compile_disentangler,
     compile_entangler,
     compile_strategies,
@@ -33,8 +33,6 @@ from qdilemma.nmr import (
     sequence_from_text,
     sequence_unitary,
 )
-
-J_DEFAULT = 7.17
 
 MOVES = {"D": DEFECT, "Q": QUANTUM}
 
@@ -81,7 +79,7 @@ class TestTimings:
 
     def test_zero_gamma_disentangler_still_costs_a_full_cycle(self):
         seq = compile_disentangler(0.0)
-        assert seq.free_evolution_time() == pytest.approx(2 / J_DEFAULT, abs=1e-15)
+        assert seq.free_evolution_time() == pytest.approx(2 / J_COUPLING_HZ, abs=1e-15)
         u = sequence_unitary(seq)
         assert fidelity_up_to_phase(u, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
 
@@ -91,7 +89,7 @@ class TestTimings:
             compile_entangler(gamma).free_evolution_time()
             + compile_disentangler(gamma).free_evolution_time()
         )
-        assert total == 2 / J_DEFAULT
+        assert total == 2 / J_COUPLING_HZ
 
 
 class TestCompiledGateFidelity:
@@ -164,7 +162,7 @@ class TestSequenceUnitary:
         assert abs(out[3]) == pytest.approx(1.0, abs=1e-12)
 
     def test_free_evolution_eighth_cycle(self):
-        t = 1 / (2 * J_DEFAULT)
+        t = 1 / (2 * J_COUPLING_HZ)
         seq = PulseSequence(primitives=(Delay(t),))
         expected = np.diag(np.exp(-1j * math.pi / 4 * np.array([1, -1, -1, 1])))
         np.testing.assert_allclose(sequence_unitary(seq), expected, atol=1e-12)
@@ -320,20 +318,31 @@ class TestRunExperiment:
         )
 
     def test_t2_damping_reduces_and_preserves_physicality(self):
-        short_t2 = SpinSystem(t2=0.05)
-        rho = run_experiment(math.pi / 2, system=short_t2, apply_t2=True)
+        rho = run_experiment(math.pi / 2, apply_t2=True)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
-        # coherences decayed mid-circuit, so the ideal outcome degrades
+        # coherences decayed mid-circuit at T2_S, so the ideal outcome degrades
         assert rho[0, 0].real < 1.0 - 1e-3
-        relaxed = run_experiment(math.pi / 2, system=SpinSystem(t2=1e6), apply_t2=True)
-        assert relaxed[0, 0].real == pytest.approx(1.0, abs=1e-6)
+        assert rho[0, 0].real == pytest.approx(0.93219, abs=1e-5)
+        assert run_experiment(math.pi / 2)[0, 0].real == pytest.approx(1.0, abs=1e-9)
+
+    def test_options_are_keyword_only(self):
+        seq = compile_strategies(0.6)
+        with pytest.raises(TypeError):
+            run_experiment(0.6, seq, NOISELESS)
 
 
 class TestDuration:
-    @pytest.mark.parametrize("gamma", sweep_gammas())
+    @pytest.mark.parametrize("gamma", [*sweep_gammas(), thresholds().gamma_th1,
+                                       thresholds().gamma_th2])
     def test_under_the_300ms_budget(self, gamma):
-        assert experiment_duration(compiled_run(gamma)) < 0.300
+        # 2/J of free evolution and at most eight pulses, 0.28694 s, so no run
+        # nears the budget or T2 and the nmr report needs no duration warning
+        for flip in (False, True):
+            total = experiment_duration(compiled_run(gamma, flip))
+            assert total <= 2 / J_COUPLING_HZ + 8 * NOMINAL_PULSE_WIDTH_S + 1e-15
+            assert total < 0.300
+            assert total < T2_S
 
     @pytest.mark.parametrize("gamma, golden", zip(sweep_gammas(), DURATION_HEX))
     def test_duration_is_bit_stable(self, gamma, golden):
@@ -342,7 +351,7 @@ class TestDuration:
     def test_widths_enter_the_budget(self):
         # four bracketing pulses plus the three of the quantum sandwich
         total = experiment_duration(compiled_run(math.pi / 2))
-        assert total == pytest.approx(2 / J_DEFAULT + 7 * NOMINAL_PULSE_WIDTH_S, abs=1e-15)
+        assert total == pytest.approx(2 / J_COUPLING_HZ + 7 * NOMINAL_PULSE_WIDTH_S, abs=1e-15)
 
     def test_reads_the_compiled_run_and_compiles_nothing(self, monkeypatch):
         runs = [compiled_run(gamma) for gamma in sweep_gammas()]
