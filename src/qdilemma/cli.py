@@ -193,6 +193,11 @@ _BUILDERS = {  # the kinds --replay can reach
     "landscape": build_landscape_dataset,
     "sweep_comparison": build_sweep_dataset,
 }
+_CONFIG_KEYS = {  # every config key a replayable command writes: _config's, then its own
+    "landscape": {"command", "version", "table", "format", "gamma", "steps", "preset"},
+    "sweep": {"command", "version", "table", "format", "gammas", "noise_angle", "noise_readout",
+              "seed"},
+}
 
 
 def build_nmr_report(
@@ -248,6 +253,10 @@ def _replay(path: str, command: str, expected_kind: str) -> int:
         if meta["command"] != command:
             raise ValueError(f"file {path}: embedded metadata key 'command' is "
                              f"{meta['command']!r}, not {command!r}")
+        unknown = sorted(set(meta) - _CONFIG_KEYS[command])
+        if unknown:
+            raise ValueError(f"file {path}: embedded metadata has keys no {command!r} command "
+                             f"writes: {', '.join(unknown)}")
         if "seed" in meta and not _is_seed(meta["seed"]):
             raise ValueError(f"file {path}: embedded metadata key 'seed' {SEED_RULE}")
         if isinstance(meta.get("table"), list) and len(meta["table"]) != 4:

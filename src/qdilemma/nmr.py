@@ -9,6 +9,7 @@ the optional T2 damping.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .datasets import format_exact
 from .equilibrium import REGIME_LABELS, classify_regime
 from .game import DEFAULT_TABLE, PayoffTable, validate_gamma
 from .linalg import I2, KET_CC, kron2, rotation
+from .streams import ChildStreams
 
 NOMINAL_PULSE_WIDTH_S = 1e-3
 
@@ -127,9 +129,12 @@ def sequence_from_text(text: str) -> PulseSequence:
     return PulseSequence(primitives=tuple(prims))
 
 
+_OPEN_COUPLING, _CLOSE_COUPLING = Pulse("both", 90.0, "x"), Pulse("both", 90.0, "-x")
+
+
 def _coupling_sequence(t: float) -> PulseSequence:
     """90x on both spins, z-z evolution for t seconds, 90(-x) on both spins."""
-    return PulseSequence((Pulse("both", 90.0, "x"), Delay(t), Pulse("both", 90.0, "-x")))
+    return PulseSequence((_OPEN_COUPLING, Delay(t), _CLOSE_COUPLING))
 
 
 def compile_entangler(gamma: float) -> PulseSequence:
@@ -176,7 +181,13 @@ def compile_strategies(
     the defector's pulse comes first.
     """
     labels = REGIME_LABELS[classify_regime(gamma, table)]
-    label = labels[-1] if flip_intermediate else labels[0]
+    return _move_sequence(labels[-1] if flip_intermediate else labels[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _move_sequence(label: str) -> PulseSequence:
+    """The pulses of one move pair, e.g. DQ; a sequence is immutable, so each
+    pair is built once."""
     if label[0] == label[1]:
         moves = [("both", label[0])]
     else:  # a stable sort puts the defector first
@@ -186,10 +197,24 @@ def compile_strategies(
     ))
 
 
+_DIAGONAL = np.eye(4, dtype=bool)
+_ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+_RHO_CC = np.outer(KET_CC, KET_CC.conj())
+for _a in (_DIAGONAL, _ZZ_SIGNS, _RHO_CC):
+    _a.setflags(write=False)
+
+
+def _diagonal_matrix(values: np.ndarray) -> np.ndarray:
+    """np.diag(values) for four values, without its Python wrappers."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[_DIAGONAL] = values
+    return out
+
+
 def _primitive_unitary(p: Pulse | Delay, j_hz: float, angle_scale: float) -> np.ndarray:
     if isinstance(p, Delay):
         phi = math.pi * j_hz * p.duration_s / 2
-        return np.diag(np.exp(-1j * phi * np.array([1.0, -1.0, -1.0, 1.0])))
+        return _diagonal_matrix(np.exp(-1j * phi * _ZZ_SIGNS))
     r = rotation(math.radians(p.angle_deg) * angle_scale, p.phase_axis)
     if p.target == "alice":
         return kron2(r, I2)
@@ -209,8 +234,7 @@ def sequence_unitary(seq: PulseSequence) -> np.ndarray:
 
 def _damp_coherences(rho: np.ndarray, dt: float) -> np.ndarray:
     lam = math.exp(-dt / T2_S)
-    diag = np.diag(np.diag(rho))
-    return lam * rho + (1 - lam) * diag
+    return lam * rho + (1 - lam) * _diagonal_matrix(rho[_DIAGONAL])
 
 
 def run_experiment(
@@ -226,34 +250,44 @@ def run_experiment(
 
     Effective-pure-state preparation is abstracted away: the run starts in
     the exact |CC> density matrix.  Noise is drawn in a fixed order, so a
-    seeded run is bit-reproducible.  SeedSequence(noise.seed) spawns one
-    stream each for the entangler, the strategies and the disentangler.  With
-    field inhomogeneity, the entangler's stream first gives the run's J factor
-    and then its pulse-amplitude factor, each 1 + N(0, field_inhomogeneity).
-    With an angle error, each pulse then scales its angle by
+    seeded run is bit-reproducible.  There is one stream each for the
+    entangler, the strategies and the disentangler: stream k draws exactly
+    what default_rng(SeedSequence(noise.seed).spawn(3)[k]) draws, derived by
+    ChildStreams without building the children.  With field inhomogeneity,
+    the entangler's stream first gives the run's J factor and then its
+    pulse-amplitude factor, each 1 + N(0, field_inhomogeneity).  With an
+    angle error, each pulse then scales its angle by
     1 + N(0, rotation_angle_error) from its own sequence's stream, in pulse
-    order.  T2 damping of coherences (rate 1/T2_S over each primitive's
-    duration) is off by default.
+    order (one draw of a sequence's pulse count, the same numbers as one
+    draw per pulse).  T2 damping of coherences (rate 1/T2_S over each
+    primitive's duration) is off by default.
     """
     gamma = validate_gamma(gamma)
     if strategy_seq is None:
         strategy_seq = compile_strategies(gamma, table)
     sequences = (compile_entangler(gamma), strategy_seq, compile_disentangler(gamma))
     j_hz, amp_factor = J_COUPLING_HZ, 1.0
-    if noise.is_noiseless:
-        rngs = [None, None, None]
-    else:
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(noise.seed).spawn(3)]
+    errors = [()] * len(sequences)  # each sequence's pulse angle errors, in pulse order
+    if not noise.is_noiseless:
+        streams = ChildStreams(noise.seed, len(sequences))
+        rng = streams.generator(0)  # the entangler's stream
         if noise.field_inhomogeneity > 0:
-            j_hz *= 1.0 + rngs[0].normal(0.0, noise.field_inhomogeneity)
-            amp_factor = 1.0 + rngs[0].normal(0.0, noise.field_inhomogeneity)
+            j_hz *= 1.0 + rng.normal(0.0, noise.field_inhomogeneity)
+            amp_factor = 1.0 + rng.normal(0.0, noise.field_inhomogeneity)
+        if noise.rotation_angle_error > 0:
+            for k, seq in enumerate(sequences):
+                if k:
+                    rng = streams.generator(k)
+                pulses = sum(isinstance(p, Pulse) for p in seq.primitives)
+                errors[k] = rng.normal(0.0, noise.rotation_angle_error, size=pulses).tolist()
 
-    rho = np.outer(KET_CC, KET_CC.conj())
-    for seq, rng in zip(sequences, rngs):
+    rho = _RHO_CC
+    for seq, seq_errors in zip(sequences, errors):
+        seq_errors = iter(seq_errors)
         for p in seq.primitives:
             scale = amp_factor
             if isinstance(p, Pulse) and noise.rotation_angle_error > 0:
-                scale *= 1.0 + rng.normal(0.0, noise.rotation_angle_error)
+                scale *= 1.0 + next(seq_errors)
             u = _primitive_unitary(p, j_hz, scale)
             rho = u @ rho @ u.conj().T
             if apply_t2:

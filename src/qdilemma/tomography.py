@@ -15,13 +15,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
 from .datasets import format_exact
 from .game import DEFAULT_TABLE, PayoffTable, payoffs_from_probabilities
 from .linalg import EIGENVALUE_FLOOR, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, density_matrix, kron2, rotation
+from .streams import ChildStreams
 
 ROTATION_CHOICES = ("none", "x90", "y90")
 
@@ -96,6 +97,9 @@ _SETTING_UNITARIES = {
     s.id: _read_only(kron2(_ROTATION_1Q[s.alice_rotation], _ROTATION_1Q[s.bob_rotation]))
     for s in ALL_SETTINGS
 }
+# the transposed view u.conj().T, not a contiguous copy: the products then take
+# the same BLAS path and keep every bit
+_SETTING_ADJOINTS = {sid: _read_only(u.conj().T) for sid, u in _SETTING_UNITARIES.items()}
 
 
 # Each observable's weights on the rotated (CC, CD, DC, DD) populations: the
@@ -117,27 +121,42 @@ def simulate_readout(
     Deterministic for a fixed seed (an int or a SeedSequence); no generator
     is built when noise_sigma is 0.
     """
-    rho = np.asarray(rho, dtype=complex)
-    u = _SETTING_UNITARIES[setting.id]
-    rotated = u @ rho @ u.conj().T
+    rng = np.random.default_rng(seed) if noise_sigma > 0 else None
+    return _read(np.asarray(rho, dtype=complex), setting, noise_sigma, rng)
+
+
+def _read(rho: np.ndarray, setting: ReadoutSetting, noise_sigma: float,
+          rng: np.random.Generator | None) -> MeasurementRecord:
+    """The one definition of a read: rotate, read the six values off the
+    populations, then add noise_sigma-wide Gaussian noise drawn from rng
+    (None at noise_sigma 0)."""
+    sid = setting.id
+    rotated = _SETTING_UNITARIES[sid] @ rho @ _SETTING_ADJOINTS[sid]
     # a complex sum of four, like np.trace's, not a real dot product: the
     # summation order keeps every value bitwise equal to tr(obs @ rotated)
     values = (_READOUT_WEIGHTS * rotated.diagonal()).sum(axis=1).real
-    if noise_sigma > 0:
-        values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, size=values.shape)
-    return MeasurementRecord(
-        setting=setting,
-        observed_values=tuple(float(v) for v in values),
-        noise_sigma=float(noise_sigma),
-    )
+    if rng is not None:
+        values = values + rng.normal(0.0, noise_sigma, size=values.shape)
+    return MeasurementRecord(setting=setting, observed_values=tuple(values.tolist()),
+                             noise_sigma=float(noise_sigma))
 
 
 def tomography_records(
     rho: np.ndarray, noise_sigma: float = 0.0, seed: int = 0
 ) -> list[MeasurementRecord]:
-    """One record per readout setting, with independent per-setting noise streams."""
-    streams = np.random.SeedSequence(seed).spawn(len(ALL_SETTINGS))
-    return [simulate_readout(rho, s, noise_sigma, seed=ss) for s, ss in zip(ALL_SETTINGS, streams)]
+    """One record per readout setting, with independent per-setting noise streams.
+
+    Setting k draws exactly what simulate_readout draws with seed
+    SeedSequence(seed).spawn(9)[k].  ChildStreams derives the nine streams
+    without building the children, and each generator as its setting is
+    read; nothing is derived at noise_sigma 0.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if noise_sigma > 0:
+        rngs = map(ChildStreams(seed, len(ALL_SETTINGS)).generator, range(len(ALL_SETTINGS)))
+    else:
+        rngs = repeat(None)
+    return [_read(rho, s, noise_sigma, rng) for s, rng in zip(ALL_SETTINGS, rngs)]
 
 
 def _design_block(setting_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +216,13 @@ def reconstruct(records) -> ReconstructionResult:
     if not records:
         raise ValueError("no measurement records supplied")
     a, offsets, normal = _checked_design(tuple(r.setting.id for r in records))
-    y = np.concatenate([r.observed_values for r in records]) - offsets
+    y = np.array([r.observed_values for r in records]).ravel() - offsets
     c = np.linalg.solve(normal, a.T @ y)
     residual = float(np.linalg.norm(a @ c - y))
 
     rho = np.eye(4, dtype=complex) / 4.0
-    for coeff, pauli in zip(c, _PARAM_MATRICES):
-        rho = rho + coeff / 4.0 * pauli
+    for coeff, pauli in zip((c / 4.0).tolist(), _PARAM_MATRICES):
+        rho += coeff * pauli
     raw = rho.copy()
     raw.setflags(write=False)
 

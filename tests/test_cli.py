@@ -381,6 +381,35 @@ class TestReplay:
         midpoints = {name: _preset_gamma(name, DEFAULT_TABLE) for name in ("fig2", "fig3")}
         assert capsys.readouterr().err == f"error: file {out}: {message.format(**midpoints)}\n"
 
+    @pytest.mark.parametrize("command,args,fmt,extra", [
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "csv", {"zzz": [1, 2]}),
+        ("landscape", ("--preset", "fig2", "--steps", "2"), "json", {"regime": "classical"}),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "csv", {"aaa": 1, "zzz": None}),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "json", {"steps": 3}),
+    ])
+    def test_replay_refuses_keys_no_command_writes(self, tmp_path, capsys, command, args, fmt,
+                                                   extra):
+        # the builders copy the config into the output, so the edited file
+        # regenerates byte for byte and only the key check refuses it
+        out = str(tmp_path / f"d.{fmt}")
+        assert run_cli(command, *args, "--format", fmt, "--out", out) == 0
+        if fmt == "csv":
+            meta_line, rest = read(out).split("\n", 1)
+            meta = json.loads(meta_line[len("# meta: "):]) | extra
+            text = "# meta: " + json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n" + rest
+        else:
+            payload = json.loads(read(out))
+            payload["metadata"] |= extra
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        assert run_cli(command, "--replay", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: file {out}: embedded metadata has keys no {command!r} "
+                                f"command writes: {', '.join(sorted(extra))}\n")
+        assert captured.out == ""
+
 
 class TestNmrCommand:
     def test_writes_report_and_pulse_listing(self, tmp_path):

@@ -145,6 +145,18 @@ class TestSimulateReadout:
         assert a == b
         assert simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=None) != a
 
+    def test_zero_noise_derives_no_stream(self, monkeypatch):
+        expected = tomography_records(BELL_LIKE, 0.0, seed=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a noise stream was derived at noise_sigma 0")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert tomography_records(BELL_LIKE, 0.0, seed=5) == expected
+        assert simulate_readout(BELL_LIKE, ReadoutSetting(), 0.0) == expected[0]
+        with pytest.raises(AssertionError, match="derived"):
+            tomography_records(BELL_LIKE, 0.01, seed=5)
+
     def test_seeded_noise_reproducible(self):
         a = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=3)
         b = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=3)
