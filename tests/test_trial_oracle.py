@@ -92,8 +92,8 @@ def record_bytes(records):
 
 
 def assert_readout_matches(rho, noise_sigma, seed):
-    got, want = tomography.tomography_records(rho, noise_sigma, seed=seed), \
-        oracle_records(rho, noise_sigma, seed)
+    got = tomography.tomography_records(rho, noise_sigma, seed=seed)
+    want = oracle_records(rho, noise_sigma, seed)
     assert record_bytes(got) == record_bytes(want)
     assert records_to_text(got) == records_to_text(want)
     result = tomography.reconstruct(got)
