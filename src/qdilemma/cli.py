@@ -90,12 +90,12 @@ def _seed(raw: str) -> int:
     return seed
 
 
-def _noisy_trial(gamma, strategy_seq, table, noise_angle, noise_readout, seed, index):
+def _noisy_trial(gamma, strategy_seq, noise_angle, noise_readout, seed, index):
     """Run index of a seeded series: a pulse run with angle noise, then a
     noisy readout and its reconstruction; both streams derive from (seed, index)."""
     state = np.random.SeedSequence([seed, index]).generate_state(2)
     noise = NoiseModel(rotation_angle_error=noise_angle, seed=int(state[0]))
-    rho = run_experiment(gamma, strategy_seq, noise=noise, table=table)
+    rho = run_experiment(gamma, strategy_seq, noise=noise)
     records = tomography_records(rho, noise_readout, seed=int(state[1]))
     return records, reconstruct(records)
 
@@ -156,8 +156,8 @@ def build_sweep_dataset(config: dict) -> FigureDataset:
     for n, gamma in enumerate(gammas):
         for _, label, analytic in nash_payoff_curve(table, [gamma]):
             strategy_seq = compile_strategies(gamma, table, flip_intermediate=label == "QD")
-            rho_ideal = run_experiment(gamma, strategy_seq, table=table)
-            _, result = _noisy_trial(gamma, strategy_seq, table, config["noise_angle"],
+            rho_ideal = run_experiment(gamma, strategy_seq)
+            _, result = _noisy_trial(gamma, strategy_seq, config["noise_angle"],
                                      config["noise_readout"], config["seed"], len(rows))
             # payoffs are linear in the state: read the raw minimizer, which is
             # unbiased where the projected estimate is not
@@ -230,7 +230,8 @@ def build_tomo_report(
     table: PayoffTable = DEFAULT_TABLE,
 ) -> tuple[dict, str]:
     gamma = validate_gamma(gamma)
-    records, result = _noisy_trial(gamma, None, table, noise_angle, noise_readout, seed, 0)
+    records, result = _noisy_trial(gamma, compile_strategies(gamma, table), noise_angle,
+                                   noise_readout, seed, 0)
     pa, pb = payoff_from_density(result.rho_raw, table)
     report = _run_report(gamma, table, noise_angle, seed, noise_readout=noise_readout,
                          payoff_a=pa, payoff_b=pb, residual_norm=result.residual_norm,

@@ -242,11 +242,11 @@ def run_experiment(
     strategy_seq: PulseSequence | None = None,
     *,
     noise: NoiseModel = NOISELESS,
-    table: PayoffTable = DEFAULT_TABLE,
     apply_t2: bool = False,
 ) -> np.ndarray:
     """Full pulse-level run: ideal |CC> start, compiled entangler, strategy
-    pulses, compiled disentangler; returns the final density matrix.
+    pulses, compiled disentangler; returns the final density matrix.  The
+    strategies default to the default table's equilibrium moves.
 
     Effective-pure-state preparation is abstracted away: the run starts in
     the exact |CC> density matrix.  Noise is drawn in a fixed order, so a
@@ -264,7 +264,7 @@ def run_experiment(
     """
     gamma = validate_gamma(gamma)
     if strategy_seq is None:
-        strategy_seq = compile_strategies(gamma, table)
+        strategy_seq = compile_strategies(gamma)
     sequences = (compile_entangler(gamma), strategy_seq, compile_disentangler(gamma))
     j_hz, amp_factor = J_COUPLING_HZ, 1.0
     errors = [()] * len(sequences)  # each sequence's pulse angle errors, in pulse order

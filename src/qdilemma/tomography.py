@@ -21,7 +21,7 @@ import numpy as np
 
 from .datasets import format_exact
 from .game import DEFAULT_TABLE, PayoffTable, payoffs_from_probabilities
-from .linalg import EIGENVALUE_FLOOR, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, density_matrix, kron2, rotation
+from .linalg import EIGENVALUE_FLOOR, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron2, rotation
 from .streams import ChildStreams
 
 ROTATION_CHOICES = ("none", "x90", "y90")
@@ -70,17 +70,18 @@ class MeasurementRecord:
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         slack = 10 * self.noise_sigma + 1e-9
-        if any(abs(v) > 1 + slack for v in self.observed_values):
-            raise ValueError("observed values must lie in [-1, 1] up to noise slack")
+        if not all(abs(v) <= 1 + slack for v in self.observed_values):
+            raise ValueError("observed values must be finite and in [-1, 1] up to noise slack")
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
     """rho_hat is always physical (projected if needed, flagged); rho_raw is
-    the unconstrained Hermitian unit-trace minimizer.  Linear functionals of
-    the state (payoffs in particular) are unbiased on rho_raw, while the
-    projection biases them for states near the boundary of the physical
-    cone, so noisy payoff extraction should read rho_raw."""
+    the unconstrained Hermitian unit-trace minimizer.  Both are read-only,
+    and rho_hat is rho_raw itself when it is not projected.  Linear
+    functionals of the state (payoffs in particular) are unbiased on rho_raw,
+    while the projection biases them for states near the boundary of the
+    physical cone, so noisy payoff extraction should read rho_raw."""
 
     rho_hat: np.ndarray
     residual_norm: float
@@ -211,6 +212,13 @@ def reconstruct(records) -> ReconstructionResult:
     trace is eliminated), reports the residual, and applies the physicality
     projection (clip negative eigenvalues, renormalize the trace) only when
     the raw minimizer leaves the physical cone.
+
+    The one eigendecomposition of rho_raw both decides the projection and
+    certifies rho_hat: Hermiticity and unit trace hold by construction (real
+    coefficients on the traceless Hermitian Pauli basis, plus I/4), and the
+    spectrum is either above -EIGENVALUE_FLOOR or clipped to be non-negative.
+    Readout values are checked for finiteness where they enter, in
+    MeasurementRecord.
     """
     records = list(records)
     if not records:
@@ -220,24 +228,19 @@ def reconstruct(records) -> ReconstructionResult:
     c = np.linalg.solve(normal, a.T @ y)
     residual = float(np.linalg.norm(a @ c - y))
 
-    rho = np.eye(4, dtype=complex) / 4.0
+    raw = np.eye(4, dtype=complex) / 4.0
     for coeff, pauli in zip((c / 4.0).tolist(), _PARAM_MATRICES):
-        rho += coeff * pauli
-    raw = rho.copy()
-    raw.setflags(write=False)
+        raw += coeff * pauli
+    _read_only(raw)
 
-    vals, vecs = np.linalg.eigh(rho)
+    vals, vecs = np.linalg.eigh(raw)
     projected = bool(vals.min() < -EIGENVALUE_FLOOR)
+    rho_hat = raw
     if projected:
         vals = np.clip(vals, 0.0, None)
-        vals = vals / vals.sum()
-        rho = (vecs * vals) @ vecs.conj().T
-    return ReconstructionResult(
-        rho_hat=density_matrix(rho),
-        residual_norm=residual,
-        projected=projected,
-        rho_raw=raw,
-    )
+        rho_hat = _read_only((vecs * (vals / vals.sum())) @ vecs.conj().T)
+    return ReconstructionResult(rho_hat=rho_hat, residual_norm=residual, projected=projected,
+                                rho_raw=raw)
 
 
 def payoff_from_density(
@@ -263,7 +266,7 @@ def records_to_text(records) -> str:
 
 
 def records_from_text(text: str) -> list[MeasurementRecord]:
-    sigma = 0.0
+    sigma = None  # until the one noise_sigma header
     by_setting: dict[ReadoutSetting, dict[str, float]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -272,6 +275,8 @@ def records_from_text(text: str) -> list[MeasurementRecord]:
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["noise_sigma"]:
+                if sigma is not None:
+                    raise ValueError(f"line {lineno}: a second noise_sigma header")
                 try:
                     (sigma,) = map(float, parts[1:])
                 except ValueError:  # no number, a second field, or not a number
@@ -291,6 +296,8 @@ def records_from_text(text: str) -> list[MeasurementRecord]:
         try:
             setting = ReadoutSetting(*sid.split("-"))
             value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"observed value must be finite, got {value}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         values = by_setting.setdefault(setting, {})
@@ -306,7 +313,7 @@ def records_from_text(text: str) -> list[MeasurementRecord]:
             MeasurementRecord(
                 setting=setting,
                 observed_values=tuple(values[o] for o in OBSERVABLE_IDS),
-                noise_sigma=sigma,
+                noise_sigma=0.0 if sigma is None else sigma,
             )
         )
     return records

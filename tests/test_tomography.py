@@ -231,6 +231,20 @@ class TestReconstruct:
         assert np.trace(result.rho_raw).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(result.rho_raw).min() < -1e-10
 
+    @pytest.mark.parametrize("sigma, projected", [(0.0, False), (0.05, True)])
+    def test_one_spectrum_decides_and_certifies(self, monkeypatch, sigma, projected):
+        records = tomography_records(np.diag([1.0, 0, 0, 0]), sigma, seed=0)
+
+        def second_spectrum(*args, **kwargs):
+            raise AssertionError("reconstruct computed a second spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", second_spectrum)
+        result = reconstruct(records)
+        assert result.projected is projected
+        assert (result.rho_hat is result.rho_raw) is not projected
+        assert not result.rho_hat.flags.writeable
+        assert not result.rho_raw.flags.writeable
+
     def test_rank_deficient_records_name_directions(self):
         records = [simulate_readout(BELL_LIKE, ReadoutSetting(), 0.0)]
         with pytest.raises(ValueError, match="unconstrained directions.*X"):
@@ -324,9 +338,18 @@ class TestRecordSerialization:
                                              "non-negative number"):
             records_from_text(text.replace("# noise_sigma 0.05", header))
 
+    def test_second_noise_header_names_the_line(self):
+        # a later header would otherwise win and widen every value's slack
+        text = records_to_text(tomography_records(BELL_LIKE, 0.01, seed=1))
+        with pytest.raises(ValueError, match="line 56: a second noise_sigma header"):
+            records_from_text(text + "# noise_sigma 0.5\n")
+
     @pytest.mark.parametrize("line, message", [
         ("x90-y90 pop_cd abc", "could not convert string to float: 'abc'"),
         ("z90-y90 pop_cd 0.25", "rotation must be one of .* got 'z90'"),
+        ("x90-y90 pop_cd nan", "observed value must be finite, got nan"),
+        ("x90-y90 pop_cd inf", "observed value must be finite, got inf"),
+        ("x90-y90 pop_cd -inf", "observed value must be finite, got -inf"),
     ])
     def test_bad_value_or_rotation_names_the_line(self, line, message):
         lines = records_to_text(tomography_records(BELL_LIKE)).splitlines()
@@ -342,6 +365,8 @@ class TestMeasurementRecord:
             MeasurementRecord(ReadoutSetting(), (1.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             MeasurementRecord(ReadoutSetting(), (0.0,) * 6, -0.1)
+        with pytest.raises(ValueError, match="observed values must be finite"):
+            MeasurementRecord(ReadoutSetting(), (math.nan,) + (0.0,) * 5, 0.05)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_rejects_non_finite_noise(self, sigma):
