@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CSV_META_PREFIX = "# meta: "
+_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -37,14 +38,21 @@ class FigureDataset:
 
 
 def format_number(x) -> str:
-    """Fixed-notation rendering, 12 significant digits, '.' decimal point."""
+    """Fixed-notation rendering, 12 significant digits, '.' decimal point.
+
+    '%.12g' rounds as numpy's Dragon4 does and is positional for magnitudes
+    from 1e-4 up to 1e12; exponent forms, inf and nan go to numpy.
+    """
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return np.format_float_positional(
-        float(x), precision=12, unique=False, fractional=False, trim="0"
-    )
+    x = float(x)
+    text = "%.12g" % x
+    if "e" in text or "n" in text:
+        return np.format_float_positional(x, precision=12, unique=False, fractional=False,
+                                          trim="0")
+    return text if "." in text else text + ".0"
 
 
 def format_exact(x: float, min_digits: int | None = None) -> str:
@@ -111,13 +119,41 @@ def render(ds: FigureDataset, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r} (expected csv or json)")
 
 
+def _json_tail(text: str):
+    """(kind, metadata) from the last two keys of to_json's layout, or None
+    when the text does not end in that layout.  The columns are not parsed."""
+    kind_key, metadata_key = '\n  "kind": ', ',\n  "metadata": '
+    start = text.rfind(kind_key)
+    if start < 0:
+        return None
+    try:
+        kind, end = _DECODER.raw_decode(text, start + len(kind_key))
+        if not text.startswith(metadata_key, end):
+            return None
+        metadata, end = _DECODER.raw_decode(text, end + len(metadata_key))
+    except ValueError:
+        return None
+    return (kind, metadata) if text[end:].strip() == "}" else None
+
+
 def read_metadata(text: str) -> dict:
-    """Recover the embedded metadata (including kind) from a rendered dataset."""
+    """Recover the embedded metadata (including kind) from a rendered dataset.
+
+    Reads only the metadata: the first line of a CSV file, the trailing kind
+    and metadata of a JSON one.  A file whose columns are damaged still
+    yields its metadata; its replay then fails on the byte comparison.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(stripped)
-        return {"kind": payload["kind"], **payload["metadata"]}
-    for line in text.splitlines():
+        tail = _json_tail(stripped)
+        if tail is None:
+            payload = json.loads(stripped)
+            tail = payload["kind"], payload["metadata"]
+        kind, metadata = tail
+        return {"kind": kind, **metadata}
+    # to_csv writes the metadata as the first line: split no further
+    head = text.partition("\n")[0] if text.startswith(CSV_META_PREFIX) else text
+    for line in head.splitlines():
         if line.startswith(CSV_META_PREFIX):
             return json.loads(line[len(CSV_META_PREFIX):])
     raise ValueError("no embedded metadata found in dataset file")

@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-# Slack for exact-arithmetic identities: Hermiticity and trace.
-ATOL = 1e-12
 # Slack allowed below zero for a density matrix's eigenvalues.
 EIGENVALUE_FLOOR = 1e-10
 
@@ -40,19 +38,6 @@ def _as_complex(a, shape, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def density_matrix(entries) -> np.ndarray:
-    """Validate and freeze a 4x4 density matrix (Hermitian, trace 1, PSD)."""
-    rho = _as_complex(entries, (4, 4), "density_matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > ATOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > ATOL:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -EIGENVALUE_FLOOR:
-        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-    rho.setflags(write=False)
-    return rho
 
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -55,6 +55,34 @@ class TestFormatNumber:
     def test_golden_strings(self, value, text):
         assert format_number(value) == text
 
+    @pytest.mark.parametrize(
+        "value",
+        [1e-4, np.nextafter(1e-4, 0.0), 0.000099999999999995, 1e12, np.nextafter(1e12, 0.0),
+         999999999999.5, 999999999999.4, 12345678901.25, 12345678901.75, -1e-7, 201.0,
+         math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308],
+    )
+    def test_edges_match_numpy(self, value):
+        assert format_number(value) == numpy_positional(value)
+
+
+def numpy_positional(x):
+    """The CSV rendering as numpy's Dragon4 writes it."""
+    return np.format_float_positional(float(x), precision=12, unique=False, fractional=False,
+                                      trim="0")
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a dev dependency; the edges above run without it
+    given = None
+
+if given is not None:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+    @given(st.one_of(st.floats(), st.floats(-1e13, 1e13), st.floats(-1e-3, 1e-3),
+                     st.integers(-2**50, 2**50).map(lambda k: k / 4)))
+    def test_format_number_matches_numpy(x):
+        assert format_number(x) == numpy_positional(x)
+
 
 MIXED = [0.0, -0.0, 1, 1.0, np.float64(1.0), -0.0, 0.0, 1, 2.5, True, np.int64(1), 0, -0.0]
 
@@ -104,6 +132,46 @@ class TestJson:
         payload = json.loads(render(ds, "json"))
         assert payload == {"kind": "sweep", "metadata": {"seed": 7},
                            "columns": {"g": [0.0, 0.5], "label": ["DD", "QQ"]}}
+
+
+class TestReadMetadata:
+    DS = FigureDataset("sweep", {"g": [0.0, 0.5], "label": ["DD", "QQ"]},
+                       {"seed": 7, "nested": {"b": [1, 2], "a": "x"}})
+    META = {"kind": "sweep", "seed": 7, "nested": {"b": [1, 2], "a": "x"}}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reads_what_render_wrote(self, fmt):
+        assert read_metadata(render(self.DS, fmt)) == self.META
+
+    def test_csv_metadata_after_other_lines_is_still_found(self):
+        text = to_csv(self.DS)
+        assert read_metadata("a,b\r\n" + text.replace("\n", "\r\n")) == self.META
+
+    def test_json_in_another_layout_is_parsed_whole(self):
+        payload = json.loads(to_json(self.DS))
+        assert read_metadata(json.dumps(payload)) == self.META
+        reordered = {k: payload[k] for k in ("metadata", "kind", "columns")}
+        assert read_metadata(json.dumps(reordered, indent=2)) == self.META
+        with pytest.raises(ValueError):
+            read_metadata(to_json(self.DS) + "}")
+
+    def test_a_damaged_column_leaves_the_metadata_readable(self):
+        text = to_json(self.DS).replace("0.5", "nonsense")
+        with pytest.raises(ValueError):
+            json.loads(text)
+        assert read_metadata(text) == self.META
+
+    def test_replay_of_a_damaged_json_column_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "l.json"
+        assert main(["landscape", "--gamma", "0.3", "--steps", "5", "--format", "json",
+                     "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        damaged = text.replace("\n      3.0,", "\n      nonsense,", 1)
+        assert damaged != text
+        path.write_text(damaged, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["landscape", "--replay", str(path)]) == 1
+        assert "replay mismatch" in capsys.readouterr().err
 
 
 class TestGoldenFixtures:

@@ -11,6 +11,8 @@ from qdilemma.equilibrium import (
     REGIME_INTERMEDIATE,
     REGIME_QUANTUM,
     StrategyGrid,
+    _best_reply_keys,
+    _grid_arrays,
     best_response,
     classify_regime,
     find_nash_grid,
@@ -62,6 +64,14 @@ class TestStrategyGrid:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             StrategyGrid(1, 4)
+
+    def test_grid_arrays_are_shared_and_read_only(self):
+        tt, pp, features = _grid_arrays(StrategyGrid(9, 5))
+        assert StrategyGrid(9, 5).angles()[0] is tt
+        assert np.array_equal(features, strategy_features(tt, pp))
+        for a in (tt, pp, features):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestTParametrization:
@@ -310,7 +320,46 @@ def assert_scan_matches_dense(gamma, grid, tol=1e-9, table=PayoffTable()):
     return report
 
 
+def dense_keys(replies, tol):
+    """The relation as one full mask: flat indices of the entries within tol
+    of their row's maximum."""
+    return np.flatnonzero(replies >= replies.max(axis=1, keepdims=True) - tol).tolist()
+
+
 class TestBestReplyRelation:
+    def test_block_of_untied_rows(self):
+        replies = np.array([[0.0, 3.0, 1.0], [2.0, 1.0, 0.0]])
+        assert _best_reply_keys(replies.copy(), 0.5).tolist() == dense_keys(replies, 0.5) == [1, 3]
+
+    def test_block_mixing_tied_and_untied_rows(self):
+        replies = np.array([
+            [1.0, 0.5, 0.25, -3.0],  # the runner-up sits exactly on the floor 1.0 - 0.5
+            [0.0, 2.0, 1.0, 1.25],
+            [4.0, 3.75, 3.5, 0.0],
+            [-1.0, -1.625, -9.0, -2.0],
+        ])
+        keys = _best_reply_keys(replies.copy(), 0.5)
+        assert keys.tolist() == dense_keys(replies, 0.5) == [0, 1, 5, 8, 9, 10, 12]
+
+    def test_a_runner_up_exactly_on_the_floor_is_a_hit(self):
+        replies = np.array([[0.0, 2.0, 1.0], [1.0, 0.5, 0.25]])  # floors 1.5 and 0.5
+        assert _best_reply_keys(replies.copy(), 0.5).tolist() == dense_keys(replies, 0.5) == [1, 3, 4]
+
+    def test_a_later_exact_tie_at_the_maximum_is_kept(self):
+        # argmax picks the first 5.0; the second must still count as a hit
+        replies = np.array([[2.0, 5.0, 1.0, 5.0], [3.0, 0.0, 3.0, 3.0]])
+        keys = _best_reply_keys(replies.copy(), 1e-9)
+        assert keys.tolist() == dense_keys(replies, 1e-9) == [1, 3, 4, 6, 7]
+
+    @pytest.mark.parametrize("gamma,tol", [(0.6, 1e-3), (math.pi / 2, 0.05)])
+    def test_scan_with_blocks_mixing_tied_and_untied_rows(self, gamma, tol):
+        tt, pp = FAST_GRID.angles()
+        payoff = pairwise_payoff_matrix(gamma, tt, pp)
+        tied = (payoff >= payoff.max(axis=0) - tol).sum(axis=0) > 1
+        blocks = [tied[lo:lo + NASH_BLOCK_ROWS] for lo in range(0, len(tt), NASH_BLOCK_ROWS)]
+        assert any(b.any() and not b.all() for b in blocks)
+        assert_scan_matches_dense(gamma, FAST_GRID, tol=tol)
+
     @pytest.mark.parametrize("gamma", [0.0, 0.6, math.pi / 2])
     @pytest.mark.parametrize("steps", [(5, 3), (9, 5)])  # 13 and 41 strategies
     def test_dense_relation_reports_every_pair(self, gamma, steps):

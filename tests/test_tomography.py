@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from density_oracle import density_matrix
 from qdilemma.game import PayoffTable
 from qdilemma.linalg import (
     EIGENVALUE_FLOOR,
@@ -13,7 +14,6 @@ from qdilemma.linalg import (
     SIGMA_Z,
     I2,
     density_from_state,
-    density_matrix,
     trace_distance,
 )
 from qdilemma.tomography import (

@@ -13,8 +13,9 @@ import random
 import numpy as np
 import pytest
 
+from density_oracle import density_matrix
 from qdilemma import nmr, tomography
-from qdilemma.linalg import EIGENVALUE_FLOOR, KET_CC, density_from_state, density_matrix
+from qdilemma.linalg import EIGENVALUE_FLOOR, KET_CC, density_from_state
 from qdilemma.tomography import ALL_SETTINGS, MeasurementRecord, records_to_text
 
 
