@@ -327,29 +327,25 @@ def dense_keys(replies, tol):
 
 
 class TestBestReplyRelation:
-    def test_block_of_untied_rows(self):
-        replies = np.array([[0.0, 3.0, 1.0], [2.0, 1.0, 0.0]])
-        assert _best_reply_keys(replies.copy(), 0.5).tolist() == dense_keys(replies, 0.5) == [1, 3]
-
-    def test_block_mixing_tied_and_untied_rows(self):
-        replies = np.array([
-            [1.0, 0.5, 0.25, -3.0],  # the runner-up sits exactly on the floor 1.0 - 0.5
-            [0.0, 2.0, 1.0, 1.25],
-            [4.0, 3.75, 3.5, 0.0],
-            [-1.0, -1.625, -9.0, -2.0],
-        ])
-        keys = _best_reply_keys(replies.copy(), 0.5)
-        assert keys.tolist() == dense_keys(replies, 0.5) == [0, 1, 5, 8, 9, 10, 12]
-
-    def test_a_runner_up_exactly_on_the_floor_is_a_hit(self):
-        replies = np.array([[0.0, 2.0, 1.0], [1.0, 0.5, 0.25]])  # floors 1.5 and 0.5
-        assert _best_reply_keys(replies.copy(), 0.5).tolist() == dense_keys(replies, 0.5) == [1, 3, 4]
-
-    def test_a_later_exact_tie_at_the_maximum_is_kept(self):
-        # argmax picks the first 5.0; the second must still count as a hit
-        replies = np.array([[2.0, 5.0, 1.0, 5.0], [3.0, 0.0, 3.0, 3.0]])
-        keys = _best_reply_keys(replies.copy(), 1e-9)
-        assert keys.tolist() == dense_keys(replies, 1e-9) == [1, 3, 4, 6, 7]
+    @pytest.mark.parametrize(
+        "replies,tol,expected",
+        [
+            ([[0.0, 3.0, 1.0], [2.0, 1.0, 0.0]], 0.5, [1, 3]),  # no row tied
+            ([[1.0, 0.5, 0.25, -3.0],  # tied, runner-up exactly on the floor
+              [0.0, 2.0, 1.0, 1.25],
+              [4.0, 3.75, 3.5, 0.0],  # tied twice
+              [-1.0, -1.625, -9.0, -2.0]], 0.5, [0, 1, 5, 8, 9, 10, 12]),
+            # the only tie is a runner-up on its floor, 1.0 - 0.5
+            ([[0.0, 2.0, 1.0], [1.0, 0.5, 0.25]], 0.5, [1, 3, 4]),
+            # argmax picks the first 5.0; the second still counts as a hit
+            ([[2.0, 5.0, 1.0, 5.0], [3.0, 0.0, 3.0, 3.0]], 1e-9, [1, 3, 4, 6, 7]),
+        ],
+        ids=["untied", "mixed", "runner-up-on-floor", "exact-tie-at-max"],
+    )
+    def test_block_keys_match_the_dense_mask(self, replies, tol, expected):
+        replies = np.array(replies)
+        assert dense_keys(replies, tol) == expected
+        assert _best_reply_keys(replies.copy(), tol).tolist() == expected
 
     @pytest.mark.parametrize("gamma,tol", [(0.6, 1e-3), (math.pi / 2, 0.05)])
     def test_scan_with_blocks_mixing_tied_and_untied_rows(self, gamma, tol):
