@@ -119,41 +119,25 @@ def render(ds: FigureDataset, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r} (expected csv or json)")
 
 
-def _json_tail(text: str):
-    """(kind, metadata) from the last two keys of to_json's layout, or None
-    when the text does not end in that layout.  The columns are not parsed."""
-    kind_key, metadata_key = '\n  "kind": ', ',\n  "metadata": '
-    start = text.rfind(kind_key)
-    if start < 0:
-        return None
-    try:
-        kind, end = _DECODER.raw_decode(text, start + len(kind_key))
-        if not text.startswith(metadata_key, end):
-            return None
-        metadata, end = _DECODER.raw_decode(text, end + len(metadata_key))
-    except ValueError:
-        return None
-    return (kind, metadata) if text[end:].strip() == "}" else None
-
-
 def read_metadata(text: str) -> dict:
     """Recover the embedded metadata (including kind) from a rendered dataset.
 
-    Reads only the metadata: the first line of a CSV file, the trailing kind
-    and metadata of a JSON one.  A file whose columns are damaged still
+    Reads only the metadata, where the writers put it: the first line of
+    to_csv's layout, the trailing kind and metadata of to_json's.  The
+    columns are not parsed, so a file whose columns are damaged still
     yields its metadata; its replay then fails on the byte comparison.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        tail = _json_tail(stripped)
-        if tail is None:
-            payload = json.loads(stripped)
-            tail = payload["kind"], payload["metadata"]
-        kind, metadata = tail
-        return {"kind": kind, **metadata}
-    # to_csv writes the metadata as the first line: split no further
-    head = text.partition("\n")[0] if text.startswith(CSV_META_PREFIX) else text
-    for line in head.splitlines():
-        if line.startswith(CSV_META_PREFIX):
-            return json.loads(line[len(CSV_META_PREFIX):])
+    if text.startswith(CSV_META_PREFIX):
+        return json.loads(text.partition("\n")[0][len(CSV_META_PREFIX):])
+    kind_key, metadata_key = '\n  "kind": ', ',\n  "metadata": '
+    start = text.rfind(kind_key) if text.startswith("{") else -1
+    if start >= 0:
+        try:
+            kind, end = _DECODER.raw_decode(text, start + len(kind_key))
+            if text.startswith(metadata_key, end):
+                metadata, end = _DECODER.raw_decode(text, end + len(metadata_key))
+                if text[end:] == "\n}\n":
+                    return {"kind": kind, **metadata}
+        except ValueError:
+            pass
     raise ValueError("no embedded metadata found in dataset file")

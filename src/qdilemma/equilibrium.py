@@ -14,8 +14,7 @@ in R, and it is the only member when the row's runner-up falls below the
 floor max - tol, as it nearly always does; only a block with such a tie
 compares every entry against its floor.  The payoffs are then reported from
 the block products of the reported moves alone, so memory grows with the
-grid, not with its square.  A grid's angles and feature rows are computed
-once per grid value and shared read-only by every scan and best reply on it.
+grid, not with its square.
 
 REGIME_LABELS maps each regime to its equilibrium move pairs, written as
 Alice's move then Bob's: DD (classical), DQ and QD (intermediate) and QQ
@@ -24,7 +23,6 @@ Alice's move then Bob's: DD (classical), DQ and QD (intermediate) and QQ
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -77,10 +75,13 @@ class StrategyGrid:
             raise ValueError("grid needs at least 2 steps per axis")
 
     def angles(self) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, phi) coordinate arrays of the deduplicated grid, lex ordered
-        and read-only."""
-        tt, pp, _ = _grid_arrays(self)
-        return tt, pp
+        """(theta, phi) coordinate arrays of the deduplicated grid, lex ordered."""
+        thetas = np.linspace(0.0, math.pi, self.theta_steps)
+        phis = np.linspace(0.0, math.pi / 2, self.phi_steps)
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+        tt, pp = tt.ravel(), pp.ravel()
+        keep = (tt != math.pi) | (pp == 0.0)
+        return tt[keep], pp[keep]
 
     def strategies(self) -> list[Strategy]:
         tt, pp = self.angles()
@@ -88,22 +89,6 @@ class StrategyGrid:
 
 
 DEFAULT_GRID = StrategyGrid()
-
-
-@functools.lru_cache(maxsize=8)
-def _grid_arrays(grid: StrategyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta, phi, feature rows) of a grid: computed once per grid value and
-    shared read-only by every scan on it."""
-    thetas = np.linspace(0.0, math.pi, grid.theta_steps)
-    phis = np.linspace(0.0, math.pi / 2, grid.phi_steps)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    keep = (tt != math.pi) | (pp == 0.0)
-    tt, pp = tt[keep], pp[keep]
-    features = strategy_features(tt, pp)
-    for a in (tt, pp, features):
-        a.setflags(write=False)
-    return tt, pp, features
 
 
 def strategy_from_t(t: float) -> Strategy:
@@ -156,9 +141,9 @@ def best_response(
 
     Exact ties break toward the lexicographically smallest (theta, phi).
     """
-    tt, pp, features = _grid_arrays(grid)
+    tt, pp = grid.angles()
     column = payoff_form(gamma, table) @ strategy_features(opponent.theta, opponent.phi)
-    payoff = features @ column
+    payoff = strategy_features(tt, pp) @ column
     idx = int(np.argmax(payoff))  # first occurrence = lex smallest on this grid
     return Strategy(float(tt[idx]), float(pp[idx])), float(payoff[idx])
 
@@ -233,7 +218,8 @@ def find_nash_grid(
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be a positive finite number")
-    tt, pp, features = _grid_arrays(grid)
+    tt, pp = grid.angles()
+    features = strategy_features(tt, pp)
     form = payoff_form(gamma, table)
     alice_rows = features @ form
     n = len(features)
@@ -246,6 +232,7 @@ def find_nash_grid(
     keys = np.concatenate([  # replies[k, i] = P[i, j] for j = cols.start + k
         _best_reply_keys(features[cols] @ alice_cols, tol) + cols.start * n for cols in blocks
     ])
+    del alice_cols  # freed before the report's block products
     # (i, j) is an equilibrium when both j*n + i and its swap i*n + j are keys
     swapped = keys % n * n + keys // n
     found = keys[swapped == keys[np.minimum(np.searchsorted(keys, swapped), len(keys) - 1)]]

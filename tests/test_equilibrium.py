@@ -12,7 +12,6 @@ from qdilemma.equilibrium import (
     REGIME_QUANTUM,
     StrategyGrid,
     _best_reply_keys,
-    _grid_arrays,
     best_response,
     classify_regime,
     find_nash_grid,
@@ -64,14 +63,6 @@ class TestStrategyGrid:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             StrategyGrid(1, 4)
-
-    def test_grid_arrays_are_shared_and_read_only(self):
-        tt, pp, features = _grid_arrays(StrategyGrid(9, 5))
-        assert StrategyGrid(9, 5).angles()[0] is tt
-        assert np.array_equal(features, strategy_features(tt, pp))
-        for a in (tt, pp, features):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
 
 
 class TestTParametrization:
