@@ -10,14 +10,12 @@ import math
 import numpy as np
 
 from qdilemma import (
-    ALL_SETTINGS,
     NoiseModel,
     design_matrix_rank_check,
     payoff_from_density,
     reconstruct,
     records_to_text,
     run_experiment,
-    simulate_readout,
     tomography_records,
     trace_distance,
 )
@@ -28,8 +26,7 @@ gamma = math.pi / 2
 rho = run_experiment(gamma)
 
 print("=== noiseless readout of the final state (gamma = pi/2) ===")
-for setting in ALL_SETTINGS[:3]:
-    rec = simulate_readout(rho, setting, 0.0)
+for rec in tomography_records(rho)[:3]:
     pops = ", ".join(f"{v:.3f}" for v in rec.observed_values[:4])
     print(f"  setting {rec.setting.id:12s} populations [{pops}]")
 print("  ... (9 settings total)\n")

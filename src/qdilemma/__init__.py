@@ -33,18 +33,12 @@ from .game import (
     Strategy,
     disentangling_gate,
     entangling_gate,
-    payoff_vs_defect,
-    payoff_vs_q,
     play,
     strategy_unitary,
     sweep_gammas,
 )
 from .linalg import (
-    BASIS_LABELS,
-    apply,
-    density_from_state,
     fidelity_up_to_phase,
-    probabilities,
     trace_distance,
 )
 from .nmr import (
@@ -71,6 +65,5 @@ from .tomography import (
     reconstruct,
     records_from_text,
     records_to_text,
-    simulate_readout,
     tomography_records,
 )

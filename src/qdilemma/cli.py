@@ -260,7 +260,9 @@ def _replay(path: str, command: str, expected_kind: str) -> int:
                              f"writes: {', '.join(unknown)}")
         if "seed" in meta and not _is_seed(meta["seed"]):
             raise ValueError(f"file {path}: embedded metadata key 'seed' {SEED_RULE}")
-        if isinstance(meta.get("table"), list) and len(meta["table"]) != 4:
+        table = meta.get("table")
+        if isinstance(table, list) and not (len(table) == 4 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in table)):
             raise ValueError(f"file {path}: embedded metadata key 'table' must hold four numbers")
         try:
             regenerated = render(_BUILDERS[kind](meta), meta["format"])

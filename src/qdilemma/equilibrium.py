@@ -83,10 +83,6 @@ class StrategyGrid:
         keep = (tt != math.pi) | (pp == 0.0)
         return tt[keep], pp[keep]
 
-    def strategies(self) -> list[Strategy]:
-        tt, pp = self.angles()
-        return [Strategy(float(t), float(p)) for t, p in zip(tt, pp)]
-
 
 DEFAULT_GRID = StrategyGrid()
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KET_CC, apply, probabilities
+from .linalg import KET_CC
 
 GAMMA_MAX = math.pi / 2
 
@@ -93,10 +93,6 @@ def strategy_features(thetas, phis) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
-_DEFECT_FEATURES = strategy_features(DEFECT.theta, DEFECT.phi)
-_QUANTUM_FEATURES = strategy_features(QUANTUM.theta, QUANTUM.phi)
-
-
 def _outcome_forms() -> np.ndarray:
     """Bilinear forms of the outcome probabilities (CC, CD, DC, DD) as coefficients
     of (1, sin^2 gamma, sin gamma), shape (4, 3, 6, 6).
@@ -140,7 +136,6 @@ def payoff_form(gamma: float, table: PayoffTable = DEFAULT_TABLE) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GameOutcome:
-    final_state: np.ndarray
     probabilities: tuple[float, float, float, float]
     payoff_a: float
     payoff_b: float
@@ -177,13 +172,6 @@ def disentangling_gate(gamma: float) -> np.ndarray:
     return entangling_gate(gamma).conj().T
 
 
-def final_state(gamma: float, sa: Strategy, sb: Strategy) -> np.ndarray:
-    """Run the full unitary pipeline: disentangle((U_A x U_B) entangle |CC>)."""
-    j = entangling_gate(gamma)
-    moves = np.kron(strategy_unitary(sa), strategy_unitary(sb))
-    return apply(j.conj().T, apply(moves, apply(j, KET_CC)))
-
-
 def payoffs_from_probabilities(
     probs, table: PayoffTable = DEFAULT_TABLE
 ) -> tuple[float, float]:
@@ -199,44 +187,19 @@ def play(
     sb: Strategy,
     table: PayoffTable = DEFAULT_TABLE,
 ) -> GameOutcome:
-    """Play one round and score both players.
+    """Play one round through the full unitary pipeline,
+    disentangle((U_A x U_B) entangle |CC>), and score both players.
 
     Alice's payoff weights the outcome probabilities as
     reward*P_CC + sucker*P_CD + temptation*P_DC + punishment*P_DD;
     Bob's swaps the CD/DC roles.
     """
-    psi = final_state(gamma, sa, sb)
-    probs = probabilities(psi)
+    j = entangling_gate(gamma)
+    moves = np.kron(strategy_unitary(sa), strategy_unitary(sb))
+    psi = j.conj().T @ (moves @ (j @ KET_CC))
+    probs = tuple((np.abs(psi) ** 2).tolist())
     pa, pb = payoffs_from_probabilities(probs, table)
-    return GameOutcome(final_state=psi, probabilities=probs, payoff_a=pa, payoff_b=pb)
-
-
-def payoff_vs_defect(
-    theta: float, phi: float, gamma: float, table: PayoffTable = DEFAULT_TABLE
-) -> float:
-    """Payoff of U(theta, phi) against an always-defecting opponent.
-
-    One row of the bilinear kernel, f(theta, phi) . M(gamma, table) . f(D).
-    With the default table this is sin^2(theta/2)
-    + 5 cos^2(theta/2) sin^2(phi) sin^2(gamma).
-    """
-    form = payoff_form(gamma, table)
-    s = Strategy(theta, phi)  # bounds check
-    return float(strategy_features(s.theta, s.phi) @ form @ _DEFECT_FEATURES)
-
-
-def payoff_vs_q(
-    theta: float, phi: float, gamma: float, table: PayoffTable = DEFAULT_TABLE
-) -> float:
-    """Payoff of U(theta, phi) against the quantum move Q.
-
-    One row of the bilinear kernel, f(theta, phi) . M(gamma, table) . f(Q).
-    With the default table this reduces to
-    4 - cos(theta) + (-3 + 2 cos(theta) - cos^2(theta/2) cos(2 phi)) sin^2(gamma).
-    """
-    form = payoff_form(gamma, table)
-    s = Strategy(theta, phi)
-    return float(strategy_features(s.theta, s.phi) @ form @ _QUANTUM_FEATURES)
+    return GameOutcome(probabilities=probs, payoff_a=pa, payoff_b=pb)
 
 
 def sweep_gammas() -> list[float]:

@@ -1,4 +1,4 @@
-"""Two-qubit complex linear algebra: states, unitaries, densities, fidelities.
+"""Two-qubit complex linear algebra: basis kets, Paulis, rotations, fidelities.
 
 Basis ordering is fixed everywhere as (CC, CD, DC, DD) with Alice's qubit
 the left (most significant) tensor factor.  C maps to |0> and D to |1>.
@@ -13,19 +13,16 @@ import numpy as np
 # Slack allowed below zero for a density matrix's eigenvalues.
 EIGENVALUE_FLOOR = 1e-10
 
-BASIS_LABELS = ("CC", "CD", "DC", "DD")
-
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 KET_CC = np.array([1, 0, 0, 0], dtype=complex)
-KET_CD = np.array([0, 1, 0, 0], dtype=complex)
 KET_DC = np.array([0, 0, 1, 0], dtype=complex)
 KET_DD = np.array([0, 0, 0, 1], dtype=complex)
 
-for _m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, KET_CC, KET_CD, KET_DC, KET_DD):
+for _m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, KET_CC, KET_DC, KET_DD):
     _m.setflags(write=False)
 
 _AXIS_OPERATOR = {"x": SIGMA_X, "-x": -SIGMA_X, "y": SIGMA_Y, "-y": -SIGMA_Y}
@@ -50,26 +47,6 @@ def rotation(angle_rad: float, axis: str) -> np.ndarray:
     """Single-spin rotation exp(-i angle sigma_axis / 2), axis in x, -x, y, -y."""
     op = _AXIS_OPERATOR[axis]
     return math.cos(angle_rad / 2) * I2 - 1j * math.sin(angle_rad / 2) * op
-
-
-def apply(u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 unitary to a two-qubit state vector."""
-    u = _as_complex(u, (4, 4), "apply unitary")
-    s = _as_complex(s, (4,), "apply state")
-    return u @ s
-
-
-def probabilities(s: np.ndarray) -> tuple[float, float, float, float]:
-    """Outcome probabilities (P_CC, P_CD, P_DC, P_DD) of a normalized state."""
-    s = _as_complex(s, (4,), "probabilities state")
-    p = np.abs(s) ** 2
-    return (float(p[0]), float(p[1]), float(p[2]), float(p[3]))
-
-
-def density_from_state(s: np.ndarray) -> np.ndarray:
-    """Outer product |s><s| of a pure state."""
-    s = _as_complex(s, (4,), "density_from_state state")
-    return np.outer(s, s.conj())
 
 
 def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

@@ -111,21 +111,6 @@ _READOUT_WEIGHTS = _read_only(np.array([
 ], dtype=float))
 
 
-def simulate_readout(
-    rho: np.ndarray,
-    setting: ReadoutSetting,
-    noise_sigma: float = 0.0,
-    seed: int | np.random.SeedSequence | None = 0,
-) -> MeasurementRecord:
-    """Rotate, read the six values off the populations, add Gaussian noise.
-
-    Deterministic for a fixed seed (an int or a SeedSequence); no generator
-    is built when noise_sigma is 0.
-    """
-    rng = np.random.default_rng(seed) if noise_sigma > 0 else None
-    return _read(np.asarray(rho, dtype=complex), setting, noise_sigma, rng)
-
-
 def _read(rho: np.ndarray, setting: ReadoutSetting, noise_sigma: float,
           rng: np.random.Generator | None) -> MeasurementRecord:
     """The one definition of a read: rotate, read the six values off the
@@ -147,10 +132,10 @@ def tomography_records(
 ) -> list[MeasurementRecord]:
     """One record per readout setting, with independent per-setting noise streams.
 
-    Setting k draws exactly what simulate_readout draws with seed
-    SeedSequence(seed).spawn(9)[k].  ChildStreams derives the nine streams
-    without building the children, and each generator as its setting is
-    read; nothing is derived at noise_sigma 0.
+    Setting k draws exactly what default_rng(SeedSequence(seed).spawn(9)[k])
+    draws.  ChildStreams derives the nine streams without building the
+    children, and each generator as its setting is read; nothing is derived
+    at noise_sigma 0.
     """
     rho = np.asarray(rho, dtype=complex)
     if noise_sigma > 0:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from kernel_rows import payoff_vs
 from qdilemma.cli import main as cli_main
 from qdilemma.equilibrium import (
     StrategyGrid,
@@ -23,8 +24,6 @@ from qdilemma.game import (
     DEFECT,
     QUANTUM,
     Strategy,
-    payoff_vs_defect,
-    payoff_vs_q,
     play,
     sweep_gammas,
 )
@@ -126,8 +125,8 @@ def test_criterion_4_closed_form_equivalence():
         s = Strategy(th, ph)
         worst = max(
             worst,
-            abs(payoff_vs_defect(th, ph, g) - play(g, s, DEFECT).payoff_a),
-            abs(payoff_vs_q(th, ph, g) - play(g, s, QUANTUM).payoff_a),
+            abs(payoff_vs(DEFECT, th, ph, g) - play(g, s, DEFECT).payoff_a),
+            abs(payoff_vs(QUANTUM, th, ph, g) - play(g, s, QUANTUM).payoff_a),
         )
     elapsed = time.monotonic() - start
     assert worst <= 1e-9

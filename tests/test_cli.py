@@ -305,14 +305,16 @@ class TestReplay:
         err = capsys.readouterr().err
         assert f"error: file {out}: embedded metadata key 'seed' must be a non-negative integer" in err
 
-    @pytest.mark.parametrize("table", [[3.0, 0.0, 5.0], []])
+    @pytest.mark.parametrize("table", [[3.0, 0.0, 5.0], [], [3.0, False, 5.0, 1.0],
+                                       [3.0, 0.0, 5.0, True]])
     @pytest.mark.parametrize("command,args", [
         ("landscape", ("--gamma", "0.3", "--steps", "3")),
         ("sweep", ("--gamma", "0.6", "--seed", "2")),
     ])
     def test_replay_refuses_a_table_that_is_not_four_numbers(self, tmp_path, capsys, command,
                                                              args, table):
-        # the builders would fill missing entries from the default table
+        # the builders would fill missing entries from the default table, and
+        # PayoffTable would take False as 0
         out = str(tmp_path / "d.csv")
         assert run_cli(command, *args, "--out", out) == 0
         meta_line, rest = read(out).split("\n", 1)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernel_rows import payoff_vs
 from qdilemma.equilibrium import (
     DEFAULT_GRID,
     NASH_BLOCK_ROWS,
@@ -28,8 +29,6 @@ from qdilemma.game import (
     PayoffTable,
     Strategy,
     payoff_form,
-    payoff_vs_defect,
-    payoff_vs_q,
     play,
     strategy_features,
 )
@@ -48,7 +47,7 @@ def pair_keys(report):
 
 class TestStrategyGrid:
     def test_contains_named_moves_exactly(self):
-        strategies = set((s.theta, s.phi) for s in DEFAULT_GRID.strategies())
+        strategies = set(zip(*DEFAULT_GRID.angles()))
         assert (COOPERATE.theta, COOPERATE.phi) in strategies
         assert D_KEY in strategies
         assert Q_KEY in strategies
@@ -451,11 +450,11 @@ class TestRegimeInequalities:
         g = (th.gamma_th1 + th.gamma_th2) / 2
         cap_d = 5 * math.sin(g) ** 2
         cap_q = 5 * math.cos(g) ** 2
-        for s in FAST_GRID.strategies():
-            assert payoff_vs_defect(s.theta, s.phi, g) <= cap_d + 1e-9
-            assert payoff_vs_q(s.theta, s.phi, g) <= cap_q + 1e-9
+        for th, ph in zip(*FAST_GRID.angles()):
+            assert payoff_vs(DEFECT, th, ph, g) <= cap_d + 1e-9
+            assert payoff_vs(QUANTUM, th, ph, g) <= cap_q + 1e-9
 
     def test_quantum_regime_dominance(self):
         for g in (0.7, 1.0, math.pi / 2):
-            for s in FAST_GRID.strategies():
-                assert payoff_vs_q(s.theta, s.phi, g) <= 3 + 1e-9
+            for th, ph in zip(*FAST_GRID.angles()):
+                assert payoff_vs(QUANTUM, th, ph, g) <= 3 + 1e-9

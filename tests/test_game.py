@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernel_rows import payoff_vs
 from qdilemma.game import (
     COOPERATE,
     DEFAULT_TABLE,
@@ -14,15 +15,13 @@ from qdilemma.game import (
     Strategy,
     disentangling_gate,
     entangling_gate,
-    payoff_vs_defect,
-    payoff_vs_q,
     payoffs_from_probabilities,
     play,
     strategy_unitary,
     sweep_gammas,
     validate_gamma,
 )
-from qdilemma.linalg import KET_CC, KET_DD, apply
+from qdilemma.linalg import KET_CC, KET_DD
 
 
 def series_expm(m, terms=20):
@@ -71,11 +70,11 @@ class TestEntangler:
         np.testing.assert_allclose(entangling_gate(0), np.eye(4), atol=1e-15)
 
     def test_maximal_on_cc(self):
-        out = apply(entangling_gate(math.pi / 2), KET_CC)
+        out = entangling_gate(math.pi / 2) @ KET_CC
         np.testing.assert_allclose(out, (KET_CC + 1j * KET_DD) / np.sqrt(2), atol=1e-15)
 
     def test_third_pi_on_cc(self):
-        out = apply(entangling_gate(math.pi / 3), KET_CC)
+        out = entangling_gate(math.pi / 3) @ KET_CC
         expected = np.array([np.sqrt(3) / 2, 0, 0, 0.5j])
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -112,7 +111,7 @@ class TestDisentangler:
     def test_unentangles_the_shared_state(self):
         shared = (KET_CC + 1j * KET_DD) / np.sqrt(2)
         np.testing.assert_allclose(
-            apply(disentangling_gate(math.pi / 2), shared), KET_CC, atol=1e-15
+            disentangling_gate(math.pi / 2) @ shared, KET_CC, atol=1e-15
         )
 
 
@@ -181,14 +180,14 @@ def literal_vs_q(th, ph, g):
 class TestClosedForms:
     def test_vs_defect_corners(self):
         for g in (0.0, 0.4, 1.1):
-            assert payoff_vs_defect(math.pi, 0, g) == pytest.approx(1.0, abs=1e-12)
-            assert payoff_vs_defect(0, math.pi / 2, g) == pytest.approx(
+            assert payoff_vs(DEFECT, math.pi, 0, g) == pytest.approx(1.0, abs=1e-12)
+            assert payoff_vs(DEFECT, 0, math.pi / 2, g) == pytest.approx(
                 5 * math.sin(g) ** 2, abs=1e-12
             )
 
     def test_vs_defect_frozen_point(self):
         # sin^2(pi/4) + 5 cos^2(pi/4) sin^2(pi/4) sin^2(pi/3) = 1/2 + 15/16
-        value = payoff_vs_defect(math.pi / 2, math.pi / 4, math.pi / 3)
+        value = payoff_vs(DEFECT, math.pi / 2, math.pi / 4, math.pi / 3)
         assert value == pytest.approx(1.4375, abs=1e-12)
         assert value == pytest.approx(
             play(math.pi / 3, Strategy(math.pi / 2, math.pi / 4), DEFECT).payoff_a,
@@ -197,13 +196,13 @@ class TestClosedForms:
 
     def test_vs_q_corners(self):
         for g in (0.0, 0.4, 1.1):
-            assert payoff_vs_q(math.pi, 0, g) == pytest.approx(
+            assert payoff_vs(QUANTUM, math.pi, 0, g) == pytest.approx(
                 5 * math.cos(g) ** 2, abs=1e-12
             )
-            assert payoff_vs_q(0, math.pi / 2, g) == pytest.approx(3.0, abs=1e-12)
+            assert payoff_vs(QUANTUM, 0, math.pi / 2, g) == pytest.approx(3.0, abs=1e-12)
 
     def test_vs_q_frozen_point(self):
-        value = payoff_vs_q(math.pi / 3, math.pi / 8, 0.5)
+        value = payoff_vs(QUANTUM, math.pi / 3, math.pi / 8, 0.5)
         assert value == pytest.approx(2.9184065470619682, abs=1e-12)
         assert value == pytest.approx(
             play(0.5, Strategy(math.pi / 3, math.pi / 8), QUANTUM).payoff_a, abs=1e-9
@@ -215,10 +214,10 @@ class TestClosedForms:
             th = rng.uniform(0, math.pi)
             ph = rng.uniform(0, math.pi / 2)
             g = rng.uniform(0, math.pi / 2)
-            assert payoff_vs_defect(th, ph, g) == pytest.approx(
+            assert payoff_vs(DEFECT, th, ph, g) == pytest.approx(
                 literal_vs_defect(th, ph, g), abs=1e-12
             )
-            assert payoff_vs_q(th, ph, g) == pytest.approx(
+            assert payoff_vs(QUANTUM, th, ph, g) == pytest.approx(
                 literal_vs_q(th, ph, g), abs=1e-12
             )
 
@@ -228,10 +227,10 @@ class TestClosedForms:
             th = rng.uniform(0, math.pi)
             ph = rng.uniform(0, math.pi / 2)
             g = rng.uniform(0, math.pi / 2)
-            assert payoff_vs_defect(th, ph, g) == pytest.approx(
+            assert payoff_vs(DEFECT, th, ph, g) == pytest.approx(
                 play(g, Strategy(th, ph), DEFECT).payoff_a, abs=1e-9
             )
-            assert payoff_vs_q(th, ph, g) == pytest.approx(
+            assert payoff_vs(QUANTUM, th, ph, g) == pytest.approx(
                 play(g, Strategy(th, ph), QUANTUM).payoff_a, abs=1e-9
             )
 
@@ -242,10 +241,10 @@ class TestClosedForms:
             th = rng.uniform(0, math.pi)
             ph = rng.uniform(0, math.pi / 2)
             g = rng.uniform(0, math.pi / 2)
-            assert payoff_vs_defect(th, ph, g, table) == pytest.approx(
+            assert payoff_vs(DEFECT, th, ph, g, table) == pytest.approx(
                 play(g, Strategy(th, ph), DEFECT, table).payoff_a, abs=1e-9
             )
-            assert payoff_vs_q(th, ph, g, table) == pytest.approx(
+            assert payoff_vs(QUANTUM, th, ph, g, table) == pytest.approx(
                 play(g, Strategy(th, ph), QUANTUM, table).payoff_a, abs=1e-9
             )
 

@@ -6,14 +6,10 @@ import pytest
 from qdilemma.linalg import (
     KET_CC,
     KET_DC,
-    KET_DD,
     SIGMA_X,
     SIGMA_Y,
-    apply,
-    density_from_state,
     fidelity_up_to_phase,
     kron2,
-    probabilities,
     rotation,
     trace_distance,
 )
@@ -40,11 +36,6 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_state(rng):
-    z = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return z / np.linalg.norm(z)
-
-
 class TestTensor:
     """kron2 is the tensor product, Alice's factor on the left."""
 
@@ -57,67 +48,8 @@ class TestTensor:
         )
 
     def test_defect_on_alice_flips_her_bit(self):
-        out = apply(kron2(DEFECT_2Q, I2), KET_CC)
+        out = kron2(DEFECT_2Q, I2) @ KET_CC
         np.testing.assert_allclose(out, -KET_DC, atol=1e-15)
-
-
-class TestApply:
-    def test_identity(self):
-        np.testing.assert_allclose(apply(np.eye(4), KET_CC), KET_CC, atol=1e-15)
-
-    def test_half_entangler_on_cc(self):
-        # cos(pi/4) I + i sin(pi/4) DxD sends |CC> to (|CC> + i|DD>)/sqrt(2)
-        j = np.cos(np.pi / 4) * np.eye(4) + 1j * np.sin(np.pi / 4) * DEFECT_TENSOR_EXPECTED
-        expected = (KET_CC + 1j * KET_DD) / np.sqrt(2)
-        np.testing.assert_allclose(apply(j, KET_CC), expected, atol=1e-15)
-
-    def test_preserves_norm(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            out = apply(random_unitary(rng, 4), random_state(rng))
-            assert abs(np.linalg.norm(out) - 1) < 1e-12
-
-
-class TestProbabilities:
-    def test_basis_state(self):
-        assert probabilities(KET_CC) == (1, 0, 0, 0)
-
-    def test_equal_superposition(self):
-        p = probabilities((KET_CC + 1j * KET_DD) / np.sqrt(2))
-        np.testing.assert_allclose(p, (0.5, 0, 0, 0.5), atol=1e-15)
-
-    def test_third_pi_weights(self):
-        # cos^2(pi/6) = 3/4 and sin^2(pi/6) = 1/4
-        s = np.cos(np.pi / 6) * KET_CC + 1j * np.sin(np.pi / 6) * KET_DD
-        np.testing.assert_allclose(probabilities(s), (0.75, 0, 0, 0.25), atol=1e-15)
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            assert abs(sum(probabilities(random_state(rng))) - 1) < 1e-12
-
-
-class TestDensityFromState:
-    def test_basis_state(self):
-        np.testing.assert_allclose(
-            density_from_state(KET_CC), np.diag([1, 0, 0, 0]), atol=1e-15
-        )
-
-    def test_entangled_state_coherences(self):
-        rho = density_from_state((KET_CC + 1j * KET_DD) / np.sqrt(2))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = expected[3, 3] = 0.5
-        expected[0, 3] = -0.5j
-        expected[3, 0] = 0.5j
-        np.testing.assert_allclose(rho, expected, atol=1e-15)
-
-    def test_trace_and_rank(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            rho = density_from_state(random_state(rng))
-            assert abs(np.trace(rho).real - 1) < 1e-12
-            eigs = np.sort(np.linalg.eigvalsh(rho))
-            assert eigs[-2] <= 1e-10  # rank one
 
 
 class TestFidelityUpToPhase:
@@ -140,6 +72,19 @@ class TestFidelityUpToPhase:
         for _ in range(20):
             u = random_unitary(rng, 4)
             assert fidelity_up_to_phase(u, u) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_non_finite(self):
+        nan_entry = np.eye(4)
+        nan_entry[1, 2] = np.nan
+        with pytest.raises(ValueError, match="^fidelity first unitary contains non-finite"):
+            fidelity_up_to_phase(nan_entry, np.eye(4))
+        with pytest.raises(ValueError, match="^fidelity second unitary contains non-finite"):
+            fidelity_up_to_phase(np.eye(4), nan_entry)
+
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^fidelity second unitary must have shape "
+                                             r"\(4, 4\), got \(2, 2\)$"):
+            fidelity_up_to_phase(np.eye(4), I2)
 
 
 class TestKron2:
@@ -166,12 +111,6 @@ class TestRotation:
     def test_negative_axis_reverses_the_turn(self):
         for axis in ("x", "y"):
             np.testing.assert_allclose(rotation(0.7, "-" + axis), rotation(-0.7, axis), atol=1e-15)
-
-
-class TestConstructors:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            apply(np.eye(4), [np.nan, 0, 0, 0])
 
 
 def test_trace_distance():

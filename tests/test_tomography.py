@@ -13,7 +13,6 @@ from qdilemma.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     I2,
-    density_from_state,
     trace_distance,
 )
 from qdilemma.tomography import (
@@ -27,13 +26,13 @@ from qdilemma.tomography import (
     reconstruct,
     records_from_text,
     records_to_text,
-    simulate_readout,
     tomography_records,
     _PARAM_MATRICES,
     _design_block,
 )
 
-BELL_LIKE = density_from_state((KET_CC + 1j * KET_DD) / np.sqrt(2))
+_BELL_KET = (KET_CC + 1j * KET_DD) / np.sqrt(2)
+BELL_LIKE = np.outer(_BELL_KET, _BELL_KET.conj())
 
 
 def random_pure_density(rng):
@@ -63,6 +62,12 @@ _ORACLE_PAULIS = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 def _oracle_unitary(setting):
     return np.kron(_ORACLE_TIPS[setting.alice_rotation], _ORACLE_TIPS[setting.bob_rotation])
+
+
+def _noiseless_read(rho, setting=ReadoutSetting()):
+    """One setting's noiseless record, read through tomography_records."""
+    (record,) = [r for r in tomography_records(rho) if r.setting == setting]
+    return record
 
 
 def _hex(values):
@@ -99,14 +104,14 @@ class TestSettings:
             ReadoutSetting("z90", "none")
 
 
-class TestSimulateReadout:
+class TestReadout:
     def test_pure_cc_plain_setting(self):
-        rec = simulate_readout(np.diag([1.0, 0, 0, 0]), ReadoutSetting(), 0.0)
+        rec = _noiseless_read(np.diag([1.0, 0, 0, 0]))
         np.testing.assert_allclose(rec.observed_values[:4], [1, 0, 0, 0], atol=1e-12)
         np.testing.assert_allclose(rec.observed_values[4:], [1, 1], atol=1e-12)
 
     def test_coherences_invisible_without_rotation(self):
-        rec = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.0)
+        rec = _noiseless_read(BELL_LIKE)
         np.testing.assert_allclose(rec.observed_values[:4], [0.5, 0, 0, 0.5], atol=1e-12)
 
     def test_rotated_settings_expose_coherences(self):
@@ -117,10 +122,10 @@ class TestSimulateReadout:
         for name, u1 in (("x90", rx), ("y90", ry)):
             u = np.kron(u1, u1)
             expected = np.diag(u @ BELL_LIKE @ u.conj().T).real
-            rec = simulate_readout(BELL_LIKE, ReadoutSetting(name, name), 0.0)
+            rec = _noiseless_read(BELL_LIKE, ReadoutSetting(name, name))
             np.testing.assert_allclose(rec.observed_values[:4], expected, atol=1e-12)
         # the i/2 coherence moves the populations away from (1/2, 0, 0, 1/2)
-        rec = simulate_readout(BELL_LIKE, ReadoutSetting("x90", "x90"), 0.0)
+        rec = _noiseless_read(BELL_LIKE, ReadoutSetting("x90", "x90"))
         assert abs(rec.observed_values[0] - 0.5) > 0.1
 
     def test_bitwise_equal_to_trace_oracle(self):
@@ -131,19 +136,12 @@ class TestSimulateReadout:
         states += [random_pure_density(rng) for _ in range(20)]
         states += [np.diag([1.0, 0, 0, 0]), BELL_LIKE]
         for rho in states:
-            for setting in ALL_SETTINGS:
+            for setting, rec in zip(ALL_SETTINGS, tomography_records(rho), strict=True):
+                assert rec.setting == setting
                 u = _oracle_unitary(setting)
                 rotated = u @ rho @ u.conj().T
                 expected = [np.trace(obs @ rotated).real for obs in _ORACLE_OBSERVABLES]
-                got = simulate_readout(rho, setting, 0.0).observed_values
-                assert _hex(got) == _hex(expected), setting.id
-
-    def test_seed_takes_a_seed_sequence(self):
-        ss = np.random.SeedSequence(9)
-        a = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=ss)
-        b = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=np.random.SeedSequence(9))
-        assert a == b
-        assert simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=None) != a
+                assert _hex(rec.observed_values) == _hex(expected), setting.id
 
     def test_zero_noise_derives_no_stream(self, monkeypatch):
         expected = tomography_records(BELL_LIKE, 0.0, seed=5)
@@ -153,15 +151,14 @@ class TestSimulateReadout:
 
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         assert tomography_records(BELL_LIKE, 0.0, seed=5) == expected
-        assert simulate_readout(BELL_LIKE, ReadoutSetting(), 0.0) == expected[0]
         with pytest.raises(AssertionError, match="derived"):
             tomography_records(BELL_LIKE, 0.01, seed=5)
 
     def test_seeded_noise_reproducible(self):
-        a = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=3)
-        b = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=3)
+        a = tomography_records(BELL_LIKE, 0.05, seed=3)
+        b = tomography_records(BELL_LIKE, 0.05, seed=3)
         assert a == b
-        c = simulate_readout(BELL_LIKE, ReadoutSetting(), 0.05, seed=4)
+        c = tomography_records(BELL_LIKE, 0.05, seed=4)
         assert a != c
 
 
@@ -246,7 +243,7 @@ class TestReconstruct:
         assert not result.rho_raw.flags.writeable
 
     def test_rank_deficient_records_name_directions(self):
-        records = [simulate_readout(BELL_LIKE, ReadoutSetting(), 0.0)]
+        records = [_noiseless_read(BELL_LIKE)]
         with pytest.raises(ValueError, match="unconstrained directions.*X"):
             reconstruct(records)
 
@@ -373,7 +370,7 @@ class TestMeasurementRecord:
         with pytest.raises(ValueError, match="noise_sigma"):
             MeasurementRecord(ReadoutSetting(), (0.0,) * 6, sigma)
         with pytest.raises(ValueError, match="noise_sigma"):
-            simulate_readout(np.diag([1.0, 0, 0, 0]), ReadoutSetting(), sigma)
+            tomography_records(np.diag([1.0, 0, 0, 0]), sigma)
         text = records_to_text(tomography_records(BELL_LIKE))
         with pytest.raises(ValueError, match="noise_sigma"):
             records_from_text(text.replace("# noise_sigma 0", f"# noise_sigma {sigma}"))

@@ -15,7 +15,7 @@ import pytest
 
 from density_oracle import density_matrix
 from qdilemma import nmr, tomography
-from qdilemma.linalg import EIGENVALUE_FLOOR, KET_CC, density_from_state
+from qdilemma.linalg import EIGENVALUE_FLOOR, KET_CC
 from qdilemma.tomography import ALL_SETTINGS, MeasurementRecord, records_to_text
 
 
@@ -136,11 +136,12 @@ def test_seeded_trials_keep_every_byte(seed):
 # noiseless product states: most populations in most settings are exactly 0,
 # and the signed zeros of the sums show in the records text
 PRODUCT_STATES = [np.diag([1.0, 0, 0, 0]).astype(complex), np.diag([0, 0, 0, 1.0]).astype(complex)]
-PRODUCT_STATES += [density_from_state(np.kron(a, b)) for a, b in [
+_PRODUCT_KETS = [np.kron(a, b).astype(complex) for a, b in [
     (np.array([1, 0]), np.array([1, 1]) / math.sqrt(2)),
     (np.array([1, 1j]) / math.sqrt(2), np.array([0, 1])),
     (np.array([1, -1]) / math.sqrt(2), np.array([1, -1j]) / math.sqrt(2)),
 ]]
+PRODUCT_STATES += [np.outer(s, s.conj()) for s in _PRODUCT_KETS]
 
 
 @pytest.mark.parametrize("k", range(len(PRODUCT_STATES)))
