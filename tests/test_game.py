@@ -165,6 +165,37 @@ class TestPlay:
         assert isinstance(o, GameOutcome)
 
 
+class TestProbabilities:
+    """play's outcome probabilities |<s|psi>|^2, in the order CC, CD, DC, DD."""
+
+    def test_basis_state(self):
+        assert play(0.0, COOPERATE, COOPERATE).probabilities == (1, 0, 0, 0)
+
+    @pytest.mark.parametrize("gamma", [math.pi / 4, math.pi / 2])
+    def test_mutual_cooperation_is_undone_by_the_disentangler(self, gamma):
+        np.testing.assert_allclose(
+            play(gamma, COOPERATE, COOPERATE).probabilities, (1, 0, 0, 0), atol=1e-15
+        )
+
+    def test_equal_superposition(self):
+        # U(pi/2, 0)|C> = (|C> - |D>)/sqrt(2) on Alice's spin
+        p = play(0.0, Strategy(math.pi / 2, 0.0), COOPERATE).probabilities
+        np.testing.assert_allclose(p, (0.5, 0, 0.5, 0), atol=1e-15)
+
+    def test_third_pi_weights(self):
+        # cos^2(pi/6) = 3/4 and sin^2(pi/6) = 1/4
+        p = play(0.0, Strategy(math.pi / 3, 0.0), COOPERATE).probabilities
+        np.testing.assert_allclose(p, (0.75, 0, 0.25, 0), atol=1e-15)
+
+    def test_sums_to_one(self):
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            sa = Strategy(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
+            sb = Strategy(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
+            p = play(rng.uniform(0, math.pi / 2), sa, sb).probabilities
+            assert abs(sum(p) - 1) < 1e-12
+
+
 # literal default-table expressions, written out independently of the
 # generalized implementations they pin down
 def literal_vs_defect(th, ph, g):

@@ -317,6 +317,13 @@ class TestRunExperiment:
             np.diag(rho).real, play(gamma, sa, sb).probabilities, atol=1e-9
         )
 
+    def test_noiseless_run_stays_pure(self):
+        for gamma in (0.0, 0.4, 1.1, math.pi / 2):
+            rho = run_experiment(gamma)
+            assert abs(np.trace(rho).real - 1) < 1e-12
+            eigs = np.sort(np.linalg.eigvalsh(rho))
+            assert eigs[-2] <= 1e-10  # rank one
+
     def test_t2_damping_reduces_and_preserves_physicality(self):
         rho = run_experiment(math.pi / 2, apply_t2=True)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from density_oracle import density_matrix
-from qdilemma.game import PayoffTable
+from qdilemma.game import PayoffTable, Strategy, entangling_gate, play, strategy_unitary
 from qdilemma.linalg import (
     EIGENVALUE_FLOOR,
     KET_CC,
@@ -283,6 +283,20 @@ class TestPayoffFromDensity:
     def test_respects_the_table(self):
         table = PayoffTable(4, 0, 6, 1)
         assert payoff_from_density(np.diag([0, 1.0, 0, 0]), table) == (0, 6)
+
+    def test_pure_game_state_matches_play(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            sa = Strategy(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
+            sb = Strategy(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
+            g = rng.uniform(0, math.pi / 2)
+            j = entangling_gate(g)
+            psi = j.conj().T @ np.kron(strategy_unitary(sa), strategy_unitary(sb)) @ j @ KET_CC
+            o = play(g, sa, sb)
+            np.testing.assert_allclose(
+                payoff_from_density(np.outer(psi, psi.conj())), (o.payoff_a, o.payoff_b),
+                atol=1e-12,
+            )
 
 
 class TestRecordSerialization:
