@@ -266,7 +266,7 @@ def _replay(path: str, command: str, expected_kind: str) -> int:
             raise ValueError(f"file {path}: embedded metadata key 'table' must hold four numbers")
         try:
             regenerated = render(_BUILDERS[kind](meta), meta["format"])
-        except ValueError as exc:  # the builder's and render's errors do not name the file
+        except (ValueError, OverflowError) as exc:  # the builder's errors do not name the file
             raise ValueError(f"file {path}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"file {path}: embedded metadata lacks key {exc.args[0]!r}") from None

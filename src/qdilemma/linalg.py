@@ -19,10 +19,8 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 KET_CC = np.array([1, 0, 0, 0], dtype=complex)
-KET_DC = np.array([0, 0, 1, 0], dtype=complex)
-KET_DD = np.array([0, 0, 0, 1], dtype=complex)
 
-for _m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, KET_CC, KET_DC, KET_DD):
+for _m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, KET_CC):
     _m.setflags(write=False)
 
 _AXIS_OPERATOR = {"x": SIGMA_X, "-x": -SIGMA_X, "y": SIGMA_Y, "-y": -SIGMA_Y}

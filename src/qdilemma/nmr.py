@@ -257,37 +257,31 @@ def run_experiment(
     the entangler's stream first gives the run's J factor and then its
     pulse-amplitude factor, each 1 + N(0, field_inhomogeneity).  With an
     angle error, each pulse then scales its angle by
-    1 + N(0, rotation_angle_error) from its own sequence's stream, in pulse
-    order (one draw of a sequence's pulse count, the same numbers as one
-    draw per pulse).  T2 damping of coherences (rate 1/T2_S over each
-    primitive's duration) is off by default.
+    1 + N(0, rotation_angle_error), drawn from its own sequence's stream as
+    the pulse is applied, in pulse order.  Each sequence's generator replaces
+    the last one's, so one is alive at a time.  T2 damping of coherences
+    (rate 1/T2_S over each primitive's duration) is off by default.
     """
     gamma = validate_gamma(gamma)
     if strategy_seq is None:
         strategy_seq = compile_strategies(gamma)
     sequences = (compile_entangler(gamma), strategy_seq, compile_disentangler(gamma))
     j_hz, amp_factor = J_COUPLING_HZ, 1.0
-    errors = [()] * len(sequences)  # each sequence's pulse angle errors, in pulse order
     if not noise.is_noiseless:
         streams = ChildStreams(noise.seed, len(sequences))
         rng = streams.generator(0)  # the entangler's stream
         if noise.field_inhomogeneity > 0:
             j_hz *= 1.0 + rng.normal(0.0, noise.field_inhomogeneity)
             amp_factor = 1.0 + rng.normal(0.0, noise.field_inhomogeneity)
-        if noise.rotation_angle_error > 0:
-            for k, seq in enumerate(sequences):
-                if k:
-                    rng = streams.generator(k)
-                pulses = sum(isinstance(p, Pulse) for p in seq.primitives)
-                errors[k] = rng.normal(0.0, noise.rotation_angle_error, size=pulses).tolist()
 
     rho = _RHO_CC
-    for seq, seq_errors in zip(sequences, errors):
-        seq_errors = iter(seq_errors)
+    for k, seq in enumerate(sequences):
+        if k and noise.rotation_angle_error > 0:
+            rng = streams.generator(k)  # the sequence's own stream replaces the last one
         for p in seq.primitives:
             scale = amp_factor
             if isinstance(p, Pulse) and noise.rotation_angle_error > 0:
-                scale *= 1.0 + next(seq_errors)
+                scale *= 1.0 + rng.normal(0.0, noise.rotation_angle_error)
             u = _primitive_unitary(p, j_hz, scale)
             rho = u @ rho @ u.conj().T
             if apply_t2:

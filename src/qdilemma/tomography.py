@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -94,15 +94,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_SETTING_UNITARIES = {
-    s.id: _read_only(kron2(_ROTATION_1Q[s.alice_rotation], _ROTATION_1Q[s.bob_rotation]))
-    for s in ALL_SETTINGS
-}
-# the transposed view u.conj().T, not a contiguous copy: the products then take
-# the same BLAS path and keep every bit
-_SETTING_ADJOINTS = {sid: _read_only(u.conj().T) for sid, u in _SETTING_UNITARIES.items()}
-
-
 # Each observable's weights on the rotated (CC, CD, DC, DD) populations: the
 # four basis-state projectors, then sigma_z on Alice's and on Bob's spin.
 _READOUT_WEIGHTS = _read_only(np.array([
@@ -111,20 +102,20 @@ _READOUT_WEIGHTS = _read_only(np.array([
 ], dtype=float))
 
 
-def _read(rho: np.ndarray, setting: ReadoutSetting, noise_sigma: float,
-          rng: np.random.Generator | None) -> MeasurementRecord:
-    """The one definition of a read: rotate, read the six values off the
-    populations, then add noise_sigma-wide Gaussian noise drawn from rng
-    (None at noise_sigma 0)."""
-    sid = setting.id
-    rotated = _SETTING_UNITARIES[sid] @ rho @ _SETTING_ADJOINTS[sid]
-    # a complex sum of four, like np.trace's, not a real dot product: the
-    # summation order keeps every value bitwise equal to tr(obs @ rotated)
-    values = (_READOUT_WEIGHTS * rotated.diagonal()).sum(axis=1).real
-    if rng is not None:
-        values = values + rng.normal(0.0, noise_sigma, size=values.shape)
-    return MeasurementRecord(setting=setting, observed_values=tuple(values.tolist()),
-                             noise_sigma=float(noise_sigma))
+# Readout tables indexed by position in ALL_SETTINGS, built once: the unitaries;
+# their adjoints as transposed views u.conj().T, not contiguous copies, so the
+# products take the same BLAS path and keep every bit; the design rows and offsets.
+_UNITARIES = _read_only(np.array([
+    kron2(_ROTATION_1Q[s.alice_rotation], _ROTATION_1Q[s.bob_rotation]) for s in ALL_SETTINGS
+]))
+_ADJOINTS = _read_only(_UNITARIES.conj()).transpose(0, 2, 1)
+_BACK = _ADJOINTS[:, None] @ (_READOUT_WEIGHTS[:, :, None] * np.eye(4, dtype=complex)) \
+    @ _UNITARIES[:, None]
+_DESIGN_ROWS = _read_only(
+    np.trace(_BACK[:, :, None] @ _PARAM_MATRICES, axis1=3, axis2=4).real / 4.0)
+_DESIGN_OFFSETS = _read_only(np.trace(_BACK, axis1=2, axis2=3).real / 4.0)
+del _BACK
+_POSITIONS = {s: k for k, s in enumerate(ALL_SETTINGS)}
 
 
 def tomography_records(
@@ -132,26 +123,27 @@ def tomography_records(
 ) -> list[MeasurementRecord]:
     """One record per readout setting, with independent per-setting noise streams.
 
-    Setting k draws exactly what default_rng(SeedSequence(seed).spawn(9)[k])
-    draws.  ChildStreams derives the nine streams without building the
-    children, and each generator as its setting is read; nothing is derived
-    at noise_sigma 0.
+    A read rotates rho, reads the six values off the populations, then adds
+    noise_sigma-wide Gaussian noise.  Setting k draws exactly what
+    default_rng(SeedSequence(seed).spawn(9)[k]) draws.  ChildStreams derives
+    the nine streams without building the children, and each generator only
+    as its setting is read; nothing is derived at noise_sigma 0.  The design
+    that reconstruct fits these records with is built once, at import; it
+    needs all nine settings, since any eight leave a direction free.
     """
     rho = np.asarray(rho, dtype=complex)
-    if noise_sigma > 0:
-        rngs = map(ChildStreams(seed, len(ALL_SETTINGS)).generator, range(len(ALL_SETTINGS)))
-    else:
-        rngs = repeat(None)
-    return [_read(rho, s, noise_sigma, rng) for s, rng in zip(ALL_SETTINGS, rngs)]
-
-
-def _design_block(setting_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows mapping the 15 Pauli coefficients to this setting's values."""
-    u = _SETTING_UNITARIES[setting_id]
-    back = np.array([u.conj().T @ np.diag(w).astype(complex) @ u for w in _READOUT_WEIGHTS])
-    rows = np.trace(back[:, None] @ _PARAM_MATRICES, axis1=2, axis2=3).real / 4.0
-    offsets = np.trace(back, axis1=1, axis2=2).real / 4.0
-    return rows, offsets
+    streams = ChildStreams(seed, len(ALL_SETTINGS)) if noise_sigma > 0 else None
+    records = []
+    for k, setting in enumerate(ALL_SETTINGS):
+        rotated = _UNITARIES[k] @ rho @ _ADJOINTS[k]
+        # a complex sum of four, like np.trace's, not a real dot product: the
+        # summation order keeps every value bitwise equal to tr(obs @ rotated)
+        values = (_READOUT_WEIGHTS * rotated.diagonal()).sum(axis=1).real
+        if streams is not None:
+            values = values + streams.generator(k).normal(0.0, noise_sigma, size=values.shape)
+        records.append(MeasurementRecord(setting=setting, observed_values=tuple(values.tolist()),
+                                         noise_sigma=float(noise_sigma)))
+    return records
 
 
 def _null_direction_labels(a: np.ndarray, rank: int) -> list[str]:
@@ -165,14 +157,14 @@ def _null_direction_labels(a: np.ndarray, rank: int) -> list[str]:
 
 
 @functools.lru_cache(maxsize=64)
-def _checked_design(setting_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked design rows, offsets and normal matrix for these settings, in order.
+def _checked_design(positions: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked design rows, offsets and normal matrix for these setting positions, in order.
 
     Raises, naming the unconstrained Pauli components, if the settings leave
     any parameter direction free; a failing tuple is never cached, so it
     raises on every call."""
-    blocks, offsets = zip(*(_design_block(sid) for sid in setting_ids))
-    a = np.vstack(blocks)
+    index = list(positions)
+    a = _DESIGN_ROWS[index].reshape(-1, len(PARAM_LABELS))
     rank = int(np.linalg.matrix_rank(a, tol=1e-8))
     if rank < len(PARAM_LABELS):
         missing = _null_direction_labels(a, rank)
@@ -180,13 +172,13 @@ def _checked_design(setting_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarra
             f"readout design is rank deficient ({rank}/{len(PARAM_LABELS)}); "
             f"unconstrained directions: {', '.join(missing)}"
         )
-    return _read_only(a), _read_only(np.concatenate(offsets)), _read_only(a.T @ a)
+    return _read_only(a), _read_only(_DESIGN_OFFSETS[index].ravel()), _read_only(a.T @ a)
 
 
 def design_matrix_rank_check() -> int:
     """Rank of the nine-setting readout design matrix; raises if any parameter
     direction is unconstrained, naming the offending Pauli components."""
-    _checked_design(tuple(s.id for s in ALL_SETTINGS))
+    _checked_design(tuple(range(len(ALL_SETTINGS))))
     return len(PARAM_LABELS)
 
 
@@ -208,7 +200,7 @@ def reconstruct(records) -> ReconstructionResult:
     records = list(records)
     if not records:
         raise ValueError("no measurement records supplied")
-    a, offsets, normal = _checked_design(tuple(r.setting.id for r in records))
+    a, offsets, normal = _checked_design(tuple(_POSITIONS[r.setting] for r in records))
     y = np.array([r.observed_values for r in records]).ravel() - offsets
     c = np.linalg.solve(normal, a.T @ y)
     residual = float(np.linalg.norm(a @ c - y))

@@ -40,6 +40,10 @@ def read(path):
         return fh.read()
 
 
+# an integer that JSON holds exactly and a float cannot
+HUGE = int("9" * 400)
+
+
 class TestThresholdsCommand:
     def test_prints_six_decimals(self, capsys, tmp_path):
         assert run_cli("thresholds") == 0
@@ -350,6 +354,28 @@ class TestReplay:
         captured = capsys.readouterr()
         assert captured.err == (f"error: file {out}: entanglement parameter must be a number, "
                                 f"got {shown}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command,args,key,value", [
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", HUGE),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "gammas", [HUGE]),
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "table", [3, 0, HUGE, 1]),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "noise_readout", HUGE),
+    ], ids=["gamma", "gammas", "table", "noise_readout"])
+    def test_replay_names_the_file_for_an_integer_too_large_for_a_float(
+            self, tmp_path, capsys, command, args, key, value):
+        out = str(tmp_path / "d.csv")
+        assert run_cli(command, *args, "--out", out) == 0
+        meta_line, rest = read(out).split("\n", 1)
+        meta = json.loads(meta_line[len("# meta: "):])
+        meta[key] = value
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("# meta: " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
+                     + "\n" + rest)
+        capsys.readouterr()
+        assert run_cli(command, "--replay", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: file {out}: int too large to convert to float\n"
         assert captured.out == ""
 
     def test_replay_names_the_file_for_a_builder_error(self, tmp_path, capsys):

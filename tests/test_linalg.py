@@ -5,7 +5,6 @@ import pytest
 
 from qdilemma.linalg import (
     KET_CC,
-    KET_DC,
     SIGMA_X,
     SIGMA_Y,
     fidelity_up_to_phase,
@@ -49,7 +48,7 @@ class TestTensor:
 
     def test_defect_on_alice_flips_her_bit(self):
         out = kron2(DEFECT_2Q, I2) @ KET_CC
-        np.testing.assert_allclose(out, -KET_DC, atol=1e-15)
+        np.testing.assert_allclose(out, [0, 0, -1, 0], atol=1e-15)
 
 
 class TestFidelityUpToPhase:

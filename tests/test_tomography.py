@@ -8,7 +8,6 @@ from qdilemma.game import PayoffTable, Strategy, entangling_gate, play, strategy
 from qdilemma.linalg import (
     EIGENVALUE_FLOOR,
     KET_CC,
-    KET_DD,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -27,11 +26,12 @@ from qdilemma.tomography import (
     records_from_text,
     records_to_text,
     tomography_records,
+    _DESIGN_OFFSETS,
+    _DESIGN_ROWS,
     _PARAM_MATRICES,
-    _design_block,
 )
 
-_BELL_KET = (KET_CC + 1j * KET_DD) / np.sqrt(2)
+_BELL_KET = np.array([1, 0, 0, 1j]) / np.sqrt(2)
 BELL_LIKE = np.outer(_BELL_KET, _BELL_KET.conj())
 
 
@@ -77,9 +77,9 @@ def _hex(values):
 def _per_call_reconstruct(records):
     """reconstruct's arithmetic with the design and its normal matrix rebuilt
     on every call: (rho_raw, rho_hat, residual_norm)."""
-    blocks, offsets = zip(*(_design_block(r.setting.id) for r in records))
-    a = np.vstack(blocks)
-    y = np.concatenate([r.observed_values for r in records]) - np.concatenate(offsets)
+    positions = [ALL_SETTINGS.index(r.setting) for r in records]
+    a = np.vstack(_DESIGN_ROWS[positions])
+    y = np.concatenate([r.observed_values for r in records]) - _DESIGN_OFFSETS[positions].ravel()
     c = np.linalg.solve(a.T @ a, a.T @ y)
     residual = float(np.linalg.norm(a @ c - y))
     rho = np.eye(4, dtype=complex) / 4.0
@@ -166,9 +166,10 @@ class TestReconstruct:
     def test_rank_check_passes(self):
         assert design_matrix_rank_check() == 15
 
-    def test_design_block_bitwise_equal_to_trace_oracle(self):
+    def test_design_tables_bitwise_equal_to_trace_oracle(self):
         paulis = [np.kron(_ORACLE_PAULIS[l[0]], _ORACLE_PAULIS[l[1]]) for l in PARAM_LABELS]
-        for setting in ALL_SETTINGS:
+        assert _DESIGN_ROWS.shape == (9, 6, 15) and _DESIGN_OFFSETS.shape == (9, 6)
+        for pos, setting in enumerate(ALL_SETTINGS):
             u = _oracle_unitary(setting)
             rows = np.empty((len(OBSERVABLE_IDS), len(PARAM_LABELS)))
             offsets = np.empty(len(OBSERVABLE_IDS))
@@ -177,9 +178,8 @@ class TestReconstruct:
                 offsets[k] = np.trace(back).real / 4.0
                 for m, pauli in enumerate(paulis):
                     rows[k, m] = np.trace(back @ pauli).real / 4.0
-            got_rows, got_offsets = _design_block(setting.id)
-            assert _hex(got_rows) == _hex(rows), setting.id
-            assert _hex(got_offsets) == _hex(offsets), setting.id
+            assert _hex(_DESIGN_ROWS[pos]) == _hex(rows), setting.id
+            assert _hex(_DESIGN_OFFSETS[pos]) == _hex(offsets), setting.id
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cached_normal_matrix_is_bitwise_per_call_solve(self, seed):
@@ -193,6 +193,26 @@ class TestReconstruct:
             assert result.rho_raw.tobytes() == raw.tobytes()
             assert result.rho_hat.tobytes() == hat.tobytes()
             assert result.residual_norm.hex() == residual.hex()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.03])
+    def test_a_repeated_setting_is_bitwise_per_call_solve(self, sigma):
+        # ten records, none-none twice: positions index the tables, not a set
+        rho = random_pure_density(np.random.default_rng(9))
+        records = tomography_records(rho, sigma, seed=11)
+        records += tomography_records(rho, sigma, seed=12)[:1]
+        assert [r.setting for r in records].count(ReadoutSetting()) == 2
+        raw, hat, residual = _per_call_reconstruct(records)
+        result = reconstruct(records)
+        assert result.rho_raw.tobytes() == raw.tobytes()
+        assert result.rho_hat.tobytes() == hat.tobytes()
+        assert result.residual_norm.hex() == residual.hex()
+
+    @pytest.mark.parametrize("dropped", ALL_SETTINGS, ids=lambda s: s.id)
+    def test_every_setting_is_needed(self, dropped):
+        records = [r for r in tomography_records(BELL_LIKE) if r.setting != dropped]
+        assert len(records) == 8
+        with pytest.raises(ValueError, match="rank deficient"):
+            reconstruct(records)
 
     def test_round_trip_pure_cc(self):
         result = reconstruct(tomography_records(np.diag([1.0, 0, 0, 0])))

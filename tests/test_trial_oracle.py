@@ -57,9 +57,9 @@ def oracle_run(gamma, strategy_seq, noise, apply_t2):
 def oracle_records(rho, noise_sigma, seed):
     records = []
     streams = np.random.SeedSequence(seed).spawn(len(ALL_SETTINGS))
-    for setting, ss in zip(ALL_SETTINGS, streams):
+    for k, (setting, ss) in enumerate(zip(ALL_SETTINGS, streams)):
         rho = np.asarray(rho, dtype=complex)
-        u = tomography._SETTING_UNITARIES[setting.id]
+        u = tomography._UNITARIES[k]
         rotated = u @ rho @ u.conj().T
         values = (tomography._READOUT_WEIGHTS * rotated.diagonal()).sum(axis=1).real
         if noise_sigma > 0:
@@ -71,7 +71,8 @@ def oracle_records(rho, noise_sigma, seed):
 
 
 def oracle_reconstruct(records):
-    a, offsets, normal = tomography._checked_design(tuple(r.setting.id for r in records))
+    positions = tuple(ALL_SETTINGS.index(r.setting) for r in records)
+    a, offsets, normal = tomography._checked_design(positions)
     y = np.concatenate([r.observed_values for r in records]) - offsets
     c = np.linalg.solve(normal, a.T @ y)
     residual = float(np.linalg.norm(a @ c - y))
