@@ -141,9 +141,9 @@ def build_landscape_dataset(config: dict) -> FigureDataset:
     return FigureDataset(
         kind="landscape",
         columns={
-            "t_a": np.repeat(ts, n).tolist(),
-            "t_b": np.tile(ts, n).tolist(),
-            "payoff_a": payoff.ravel().tolist(),
+            "t_a": np.repeat(ts, n),
+            "t_b": np.tile(ts, n),
+            "payoff_a": payoff.ravel(),
         },
         metadata=config,
     )
@@ -244,7 +244,7 @@ def build_tomo_report(
 
 
 def _replay(path: str, command: str, expected_kind: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:  # keep \r\n as written
         original = fh.read()
     try:
         meta = read_metadata(original)

@@ -7,10 +7,11 @@ written directly, one column at a time, in exactly the layout of
 ``json.dumps(payload, sort_keys=True, indent=2)``, whose indented encoder
 is pure Python and several times slower.
 
-Both writers format a column once per distinct value (a landscape's t
-columns hold only `steps` values).  The memo skips zeros and anything that
-is not a float: ``0.0 == -0.0`` and ``1 == 1.0`` compare equal but render
-differently, so they must not share an entry.
+A column is a list, formatted cell by cell, or a 1-D float64 array (no other
+array: its bits would be misread), formatted once per distinct bit pattern,
+so ``-0.0`` stays apart from ``0.0``, in one ``%`` pass.  The per-cell
+formatter redoes only the cells that pass cannot write: a CSV cell with no
+'.' or with an exponent, a non-finite JSON cell.
 """
 
 from __future__ import annotations
@@ -28,10 +29,14 @@ _DECODER = json.JSONDecoder()
 @dataclass(frozen=True)
 class FigureDataset:
     kind: str
-    columns: dict  # name -> list of values, equal lengths, insertion ordered
+    columns: dict  # name -> list or 1-D float64 array, equal lengths, insertion ordered
     metadata: dict
 
     def __post_init__(self):
+        for name, v in self.columns.items():
+            if isinstance(v, np.ndarray) and (v.ndim != 1 or v.dtype != np.float64):
+                raise ValueError(f"column {name!r} is a {v.ndim}-D {v.dtype} array, "
+                                 "not 1-D float64")
         lengths = {len(v) for v in self.columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"column lengths differ: {lengths}")
@@ -63,18 +68,20 @@ def format_exact(x: float, min_digits: int | None = None) -> str:
 
 
 def _column_cells(values, fmt) -> list[str]:
-    """fmt(v) for each value, formatting each distinct nonzero float once."""
-    memo = {}
-    cells = []
-    for v in values:
-        if isinstance(v, float) and v:
-            cell = memo.get(v)
-            if cell is None:
-                cell = memo[v] = fmt(v)
-        else:
-            cell = fmt(v)
-        cells.append(cell)
-    return cells
+    """fmt(v) for each value; an array column formats each distinct value once."""
+    if not isinstance(values, np.ndarray):
+        return list(map(fmt, values))
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    if fmt is format_number:  # '%.12g' is the whole rendering of a positional float
+        cells = ("%.12g\n" * len(bits) % tuple(distinct.tolist())).split("\n")[:-1]
+        redo = [i for i, cell in enumerate(cells) if "." not in cell or "e" in cell]
+    else:  # '%r' is json's rendering of a finite float
+        cells = ("%r\n" * len(bits) % tuple(distinct.tolist())).split("\n")[:-1]
+        redo = np.flatnonzero(~np.isfinite(distinct)).tolist()
+    for i in redo:
+        cells[i] = fmt(distinct[i])
+    return np.array(cells, dtype=object)[inverse].tolist()
 
 
 def to_csv(ds: FigureDataset) -> str:

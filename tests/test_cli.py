@@ -200,6 +200,18 @@ class TestReplay:
             fh.write(text)
         assert run_cli("sweep", "--replay", out) == 1
 
+    @pytest.mark.parametrize("command, make", [
+        ("landscape", ("--gamma", "0.3", "--steps", "3", "--format", "csv")),
+        ("sweep", ("--gamma", "0.6", "--format", "json")),
+    ], ids=["csv", "json"])
+    def test_replay_refuses_crlf_line_endings(self, tmp_path, capsys, command, make):
+        out = tmp_path / "r"
+        assert run_cli(command, *make, "--out", str(out)) == 0
+        out.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        assert run_cli(command, "--replay", str(out)) == 1
+        assert "replay ok" not in capsys.readouterr().out
+
     def test_replay_landscape(self, tmp_path):
         out = str(tmp_path / "l.json")
         assert run_cli("landscape", "--gamma", "0.3", "--steps", "5",

@@ -7,14 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdilemma.cli import build_equilibria_dataset, main
+from qdilemma import __version__
+from qdilemma.cli import (
+    PRESETS,
+    _preset_gamma,
+    build_equilibria_dataset,
+    build_landscape_dataset,
+    main,
+)
 from qdilemma.datasets import FigureDataset, format_number, read_metadata, render, to_csv, to_json
+from qdilemma.game import DEFAULT_TABLE
 
 DATA = Path(__file__).parent / "data"
 
 
-def unmemoised_csv_rows(ds):
-    """Data rows as formatted one cell at a time, with no memo."""
+def per_cell_csv_rows(ds):
+    """Data rows as format_number writes them one cell at a time."""
     names = list(ds.columns)
     n_rows = len(ds.columns[names[0]])
     return [",".join(format_number(ds.columns[name][i]) for name in names) for i in range(n_rows)]
@@ -31,6 +39,13 @@ def oracle_json(ds):
         },
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# where '%.12g' turns from positional to exponent form, rounds up a digit, or
+# is not a finite number
+EDGES = [1e-4, np.nextafter(1e-4, 0.0), 0.000099999999999995, 1e12, np.nextafter(1e12, 0.0),
+         999999999999.5, 999999999999.4, 12345678901.25, 12345678901.75, -1e-7, 201.0,
+         math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]
 
 
 class TestFormatNumber:
@@ -55,12 +70,7 @@ class TestFormatNumber:
     def test_golden_strings(self, value, text):
         assert format_number(value) == text
 
-    @pytest.mark.parametrize(
-        "value",
-        [1e-4, np.nextafter(1e-4, 0.0), 0.000099999999999995, 1e12, np.nextafter(1e12, 0.0),
-         999999999999.5, 999999999999.4, 12345678901.25, 12345678901.75, -1e-7, 201.0,
-         math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308],
-    )
+    @pytest.mark.parametrize("value", EDGES)
     def test_edges_match_numpy(self, value):
         assert format_number(value) == numpy_positional(value)
 
@@ -77,11 +87,27 @@ except ImportError:  # a dev dependency; the edges above run without it
     given = None
 
 if given is not None:
+    FLOATS = st.one_of(st.floats(), st.floats(-1e13, 1e13), st.floats(-1e-3, 1e-3),
+                       st.integers(-2**50, 2**50).map(lambda k: k / 4))
+
     @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
-    @given(st.one_of(st.floats(), st.floats(-1e13, 1e13), st.floats(-1e-3, 1e-3),
-                     st.integers(-2**50, 2**50).map(lambda k: k / 4)))
+    @given(FLOATS)
     def test_format_number_matches_numpy(x):
         assert format_number(x) == numpy_positional(x)
+
+    # columns that repeat a few values drawn from the edges, signed zeros and
+    # NaNs, subnormals and any float
+    SPECIAL = [0.0, -0.0, math.copysign(math.nan, -1.0), 1.0, -1.0, 2.2250738585072014e-308,
+               1e15, -1e-5]
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+    @given(st.lists(st.one_of(st.sampled_from(EDGES + SPECIAL), FLOATS), min_size=1, max_size=8)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=40)))
+    def test_array_columns_match_per_cell_formatting(values):
+        column = np.array(values, dtype=np.float64)
+        ds = FigureDataset("array", {"v": column, "w": column[::-1]}, {})
+        assert to_csv(ds).splitlines()[2:] == per_cell_csv_rows(ds)
+        assert to_json(ds) == oracle_json(ds)
 
 
 MIXED = [0.0, -0.0, 1, 1.0, np.float64(1.0), -0.0, 0.0, 1, 2.5, True, np.int64(1), 0, -0.0]
@@ -91,7 +117,7 @@ class TestCsv:
     def test_equal_values_that_render_differently_stay_apart(self):
         ds = FigureDataset("mixed", {"a": MIXED, "b": list(reversed(MIXED))}, {"x": 1})
         rows = to_csv(ds).splitlines()[2:]
-        assert rows == unmemoised_csv_rows(ds)
+        assert rows == per_cell_csv_rows(ds)
         assert [r.split(",")[0] for r in rows[:5]] == ["0.0", "-0.0", "1", "1.0", "1.0"]
 
     def test_repeated_and_string_columns(self):
@@ -102,10 +128,44 @@ class TestCsv:
              "v": np.sin(np.arange(49.0)).tolist()},
             {},
         )
-        assert to_csv(ds).splitlines()[2:] == unmemoised_csv_rows(ds)
+        assert to_csv(ds).splitlines()[2:] == per_cell_csv_rows(ds)
 
     def test_no_columns(self):
         assert to_csv(FigureDataset("empty", {}, {})) == '# meta: {"kind":"empty"}\n\n'
+
+
+class TestArrayColumns:
+    def test_array_and_list_columns_mix(self):
+        ds = FigureDataset("mixed", {"t": np.array([0.0, -0.0, 1.0, 0.0, 1e-5, 2.5]),
+                                     "label": ["DD", "QQ", "DD", "x", "y", "z"],
+                                     "n": [0, 1, 2, np.int64(3), 4, 5], "m": MIXED[:6]},
+                           {"seed": 7})
+        rows = to_csv(ds).splitlines()[2:]
+        assert rows == per_cell_csv_rows(ds)
+        assert rows == ["0.0,DD,0,0.0", "-0.0,QQ,1,-0.0", "1.0,DD,2,1", "0.0,x,3,1.0",
+                        "0.00001,y,4,1.0", "2.5,z,5,-0.0"]
+        assert to_json(ds) == oracle_json(ds)
+
+    @pytest.mark.parametrize("column", [
+        np.arange(3), np.zeros((3, 1)), np.zeros(3, np.float32), np.zeros(3, ">f8"),
+        np.array(1.0),
+    ], ids=["int64", "2-D", "float32", "big-endian", "0-D"])
+    def test_refuses_an_array_that_is_not_1d_float64(self, column):
+        with pytest.raises(ValueError, match="column 'v' is a .* array, not 1-D float64"):
+            FigureDataset("x", {"u": [1.0, 2.0, 3.0], "v": column}, {})
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_landscapes_render_as_their_lists(self, preset):
+        for fmt in ("csv", "json"):
+            config = {"command": "landscape", "version": __version__,
+                      "table": list(DEFAULT_TABLE.as_tuple()), "format": fmt,
+                      "gamma": _preset_gamma(preset, DEFAULT_TABLE), "steps": 201,
+                      "preset": preset}
+            ds = build_landscape_dataset(config)
+            assert all(isinstance(v, np.ndarray) for v in ds.columns.values())
+            listed = FigureDataset(ds.kind, {k: v.tolist() for k, v in ds.columns.items()},
+                                   ds.metadata)
+            assert render(ds, fmt) == render(listed, fmt)
 
 
 class TestJson:
