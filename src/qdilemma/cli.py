@@ -247,7 +247,10 @@ def _replay(path: str, command: str, expected_kind: str) -> int:
     with open(path, "r", encoding="utf-8", newline="") as fh:  # keep \r\n as written
         original = fh.read()
     try:
-        meta = read_metadata(original)
+        try:
+            meta = read_metadata(original)
+        except ValueError as exc:  # its errors do not name the file either
+            raise ValueError(f"file {path}: {exc}") from None
         kind = meta.pop("kind")
         if kind != expected_kind:
             raise ValueError(f"file {path} holds a {kind!r} dataset, not {expected_kind!r}")
@@ -440,6 +443,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: out of memory, use a smaller --grid or --steps ({exc})", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -11,10 +11,10 @@ one best-reply relation R = {(i, j) : P[i, j] >= max_k P[k, j] - tol}: the
 equilibria are R intersected with its transpose.  One pass over blocks of
 opponent moves keeps R as sorted integer keys.  Each reply row's argmax is
 in R, and it is the only member when the row's runner-up falls below the
-floor max - tol, as it nearly always does; only a block with such a tie
-compares every entry against its floor.  The payoffs are then reported from
-the block products of the reported moves alone, so memory grows with the
-grid, not with its square.
+floor max - tol, as it nearly always does; only a row with such a tie
+compares every entry against its floor.  The payoffs are then read from the
+block products of the reported moves, one product alive at a time, so the
+peak stays under two NASH_BLOCK_ROWS x n float64 blocks, linear in the grid.
 
 REGIME_LABELS maps each regime to its equilibrium move pairs, written as
 Alice's move then Bob's: DD (classical), DQ and QD (intermediate) and QQ
@@ -186,18 +186,21 @@ def _best_reply_keys(replies: np.ndarray, tol: float) -> np.ndarray:
 
     A row's argmax is always a hit, and it is the only one when the row's
     runner-up falls below the floor max - tol, as it nearly always does.
-    Only a block with a tied row takes the full compare.  Overwrites each
-    row's maximum with -inf.
+    Only a tied row is compared against its floor, one row at a time: numpy
+    buffers a broadcast compare of the block in up to 64 KB of float64, as
+    much as a whole block on small grids.  Overwrites each row's maximum with -inf.
     """
     rows = np.arange(len(replies))
     best = replies.argmax(axis=1)
     floor = replies[rows, best] - tol
     replies[rows, best] = -np.inf
-    if not (replies.max(axis=1) >= floor).any():
-        return rows * replies.shape[1] + best
-    hits = replies >= floor[:, None]
-    hits[rows, best] = True
-    return np.flatnonzero(hits)
+    tied = replies.max(axis=1) >= floor
+    keys = rows * replies.shape[1] + best
+    if not tied.any():
+        return keys
+    hits = [np.flatnonzero(replies[r] >= floor[r]) + r * replies.shape[1]
+            for r in np.flatnonzero(tied)]
+    return np.sort(np.concatenate([keys, *hits]))
 
 
 def find_nash_grid(
@@ -217,36 +220,34 @@ def find_nash_grid(
     tt, pp = grid.angles()
     features = strategy_features(tt, pp)
     form = payoff_form(gamma, table)
-    alice_rows = features @ form
     n = len(features)
-    blocks = [slice(lo, min(lo + NASH_BLOCK_ROWS, n)) for lo in range(0, n, NASH_BLOCK_ROWS)]
     # Key j*n + i: move i is within tol of the best reply to move j.  A C-ordered
     # copy of (F M)^T makes each block product about 40% cheaper than the
     # transposed view, but can change its last bit, so no reported payoff is
     # read from these products.
-    alice_cols = np.ascontiguousarray(alice_rows.T)
-    keys = np.concatenate([  # replies[k, i] = P[i, j] for j = cols.start + k
-        _best_reply_keys(features[cols] @ alice_cols, tol) + cols.start * n for cols in blocks
+    alice_cols = np.ascontiguousarray((features @ form).T)
+    keys = np.concatenate([  # replies[k, i] = P[i, j] for j = lo + k
+        _best_reply_keys(features[lo:lo + NASH_BLOCK_ROWS] @ alice_cols, tol) + lo * n
+        for lo in range(0, n, NASH_BLOCK_ROWS)
     ])
     del alice_cols  # freed before the report's block products
     # (i, j) is an equilibrium when both j*n + i and its swap i*n + j are keys
     swapped = keys % n * n + keys // n
     found = keys[swapped == keys[np.minimum(np.searchsorted(keys, swapped), len(keys) - 1)]]
-    # Report payoffs from the blocks holding Alice's move, Bob's as (F M^T) f:
-    # read back from the relation as (F M) f, its last bit can differ.
-    bob_rows = features @ form.T
-    equilibria = []
-    rows = slice(0, 0)
-    for i, j in zip(*np.divmod(found, n)):  # found is sorted, so i never decreases
-        if i >= rows.stop:
-            rows = blocks[i // NASH_BLOCK_ROWS]
-            alice = alice_rows[rows] @ features.T  # alice[k, j] = P[i, j], i = rows.start + k
-            bob = bob_rows[rows] @ features.T  # bob[k, j] = P[j, i]
-        k = i - rows.start
-        equilibria.append((Strategy(float(tt[i]), float(pp[i])), Strategy(float(tt[j]), float(pp[j])),
-                           float(alice[k, j]), float(bob[k, j])))
+    i, j = np.divmod(found, n)
+    # Payoffs from the blocks of NASH_BLOCK_ROWS moves holding a reported i (sorted),
+    # one block product alive at a time: Alice's (F M)[rows] F^T in one pass, Bob's
+    # (F M^T)[rows] F^T in the next; read back as (F M) f, his can differ in the last bit.
+    edges = np.flatnonzero(np.diff(i // NASH_BLOCK_ROWS, prepend=-1)).tolist() + [len(i)]
+    payoffs = ([], [])
+    for rows, entries in zip((features @ m for m in (form, form.T)), payoffs):
+        for a, b in zip(edges, edges[1:]):
+            lo = i[a] - i[a] % NASH_BLOCK_ROWS
+            entries += (rows[lo:lo + NASH_BLOCK_ROWS] @ features.T)[i[a:b] - lo, j[a:b]].tolist()
+    equilibria = tuple((Strategy(float(tt[a]), float(pp[a])), Strategy(float(tt[b]), float(pp[b])),
+                        pa, pb) for a, b, pa, pb in zip(i, j, *payoffs))
     return EquilibriumReport(
-        gamma=float(gamma), equilibria=tuple(equilibria), regime=classify_regime(gamma, table)
+        gamma=float(gamma), equilibria=equilibria, regime=classify_regime(gamma, table)
     )
 
 

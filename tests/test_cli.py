@@ -212,6 +212,20 @@ class TestReplay:
         assert run_cli(command, "--replay", str(out)) == 1
         assert "replay ok" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt, damage", [
+        ("json", lambda data: data.replace(b"\n", b"\r\n")),
+        ("csv", lambda data: data.split(b"\n", 1)[1]),  # the "# meta:" line removed
+    ], ids=["json-crlf", "csv-without-meta"])
+    def test_replay_names_a_file_without_metadata(self, tmp_path, capsys, fmt, damage):
+        out = tmp_path / f"l.{fmt}"
+        assert run_cli("landscape", "--gamma", "0.3", "--steps", "3", "--format", fmt,
+                       "--out", str(out)) == 0
+        out.write_bytes(damage(out.read_bytes()))
+        capsys.readouterr()
+        assert run_cli("landscape", "--replay", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: file {out}: no embedded metadata found in dataset file\n")
+
     def test_replay_landscape(self, tmp_path):
         out = str(tmp_path / "l.json")
         assert run_cli("landscape", "--gamma", "0.3", "--steps", "5",
@@ -505,6 +519,25 @@ class TestBadNoiseAndSeed:
         assert run_cli(command, "--gamma", "0.6", "--seed", "-1", "--out", out) == 1
         assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command, args, builder", [
+        ("equilibria", ("--gamma", "0.6", "--grid", "21x11"), "find_nash_grid"),
+        ("landscape", ("--gamma", "0.3", "--steps", "5"), "landscape"),
+    ])
+    def test_memory_error_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                         command, args, builder):
+        # stands in for a --grid or --steps too large to allocate, without allocating it
+        def fail(*_):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, builder, fail)
+        out = tmp_path / "x.csv"
+        assert run_cli(command, *args, "--out", str(out)) == 1
+        assert capsys.readouterr().err == ("error: out of memory, use a smaller --grid or "
+                                           "--steps (Unable to allocate 74.5 GiB for an array)\n")
+        assert not out.exists()
 
 
 class TestTomoCommand:

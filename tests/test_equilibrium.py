@@ -276,14 +276,60 @@ class TestFindNashGrid:
         # 7321 strategies: the dense float64 payoff matrix alone would be 429 MB
         grid = StrategyGrid(121, 61)
         assert len(grid.angles()[0]) == 7321
-        tracemalloc.start()
-        try:
-            report = find_nash_grid(0.6, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_scan(0.6, grid)
         assert pair_keys(report) == {(D_KEY, Q_KEY), (Q_KEY, D_KEY)}
-        assert peak < 64e6
+        assert peak < two_blocks(grid)
+
+    @pytest.mark.parametrize("gamma", ["0.2", "gamma_th1", "0.6", "gamma_th2", "1.2"])
+    @pytest.mark.parametrize("steps", [(61, 31), (21, 11)], ids=["61x31", "21x11"])
+    def test_peak_memory_stays_under_two_blocks(self, steps, gamma):
+        grid = StrategyGrid(*steps)
+        gamma = getattr(thresholds(), gamma) if gamma.startswith("gamma") else float(gamma)
+        report, peak = traced_scan(gamma, grid)
+        assert report.equilibria
+        assert peak < two_blocks(grid)
+
+    @pytest.mark.parametrize("table", REGIME_SCAN_TABLES[:3] + REGIME_SCAN_TABLES[5:],
+                             ids=lambda t: str(t.as_tuple()))
+    @pytest.mark.parametrize("steps", [(61, 31), (31, 16), (21, 11)],
+                             ids=["61x31", "31x16", "21x11"])
+    def test_payoffs_are_the_block_product_entries(self, steps, table):
+        # bit for bit: (F M)[rows] F^T for Alice, (F M^T)[rows] F^T for Bob, where
+        # rows is the block of NASH_BLOCK_ROWS moves holding Alice's move i
+        grid = StrategyGrid(*steps)
+        tt, pp = grid.angles()
+        features = strategy_features(tt, pp)
+        index = {move: k for k, move in enumerate(zip(tt.tolist(), pp.tolist()))}
+        th = thresholds(table)
+        blocks_read = set()
+        for gamma in (0.0, 0.2, th.gamma_th1, (th.gamma_th1 + th.gamma_th2) / 2, th.gamma_th2,
+                      1.2, math.pi / 2):
+            form = payoff_form(gamma, table)
+            for a, b, pa, pb in find_nash_grid(gamma, grid, table=table).equilibria:
+                i, j = index[a.theta, a.phi], index[b.theta, b.phi]
+                rows = slice(i - i % NASH_BLOCK_ROWS, i - i % NASH_BLOCK_ROWS + NASH_BLOCK_ROWS)
+                alice = (features @ form)[rows] @ features.T
+                bob = (features @ form.T)[rows] @ features.T
+                k = i - rows.start
+                assert (pa.hex(), pb.hex()) == (float(alice[k, j]).hex(), float(bob[k, j]).hex())
+                blocks_read.add(rows.start)
+        assert len(blocks_read) > 1
+
+
+def traced_scan(gamma, grid):
+    """One scan's report and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        report = find_nash_grid(gamma, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def two_blocks(grid):
+    """Bytes of two NASH_BLOCK_ROWS x n float64 block products."""
+    return 2 * NASH_BLOCK_ROWS * len(grid.angles()[0]) * 8
 
 
 def dense_equilibria(gamma, grid, tol, table):
