@@ -445,7 +445,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's names the size it could not allocate
-        print(f"error: out of memory, use a smaller --grid or --steps ({exc})", file=sys.stderr)
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

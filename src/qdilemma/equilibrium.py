@@ -186,21 +186,22 @@ def _best_reply_keys(replies: np.ndarray, tol: float) -> np.ndarray:
 
     A row's argmax is always a hit, and it is the only one when the row's
     runner-up falls below the floor max - tol, as it nearly always does.
-    Only a tied row is compared against its floor, one row at a time: numpy
-    buffers a broadcast compare of the block in up to 64 KB of float64, as
-    much as a whole block on small grids.  Overwrites each row's maximum with -inf.
+    Only the rows from the first tied row to the last take the full compare,
+    which numpy buffers in up to 64 KB of float64 (a whole block on small
+    grids).  Overwrites each row's maximum with -inf.
     """
     rows = np.arange(len(replies))
     best = replies.argmax(axis=1)
     floor = replies[rows, best] - tol
     replies[rows, best] = -np.inf
-    tied = replies.max(axis=1) >= floor
-    keys = rows * replies.shape[1] + best
-    if not tied.any():
-        return keys
-    hits = [np.flatnonzero(replies[r] >= floor[r]) + r * replies.shape[1]
-            for r in np.flatnonzero(tied)]
-    return np.sort(np.concatenate([keys, *hits]))
+    tied = np.flatnonzero(replies.max(axis=1) >= floor)
+    if not len(tied):
+        return rows * replies.shape[1] + best
+    span = slice(tied[0], tied[-1] + 1)
+    hits = np.zeros(replies.shape, dtype=bool)
+    np.greater_equal(replies[span], floor[span, None], out=hits[span])
+    hits[rows, best] = True
+    return np.flatnonzero(hits)
 
 
 def find_nash_grid(

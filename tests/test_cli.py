@@ -535,8 +535,8 @@ class TestOutOfMemory:
         monkeypatch.setattr(cli, builder, fail)
         out = tmp_path / "x.csv"
         assert run_cli(command, *args, "--out", str(out)) == 1
-        assert capsys.readouterr().err == ("error: out of memory, use a smaller --grid or "
-                                           "--steps (Unable to allocate 74.5 GiB for an array)\n")
+        assert capsys.readouterr().err == ("error: out of memory "
+                                           "(Unable to allocate 74.5 GiB for an array)\n")
         assert not out.exists()
 
 
