@@ -11,10 +11,10 @@ one best-reply relation R = {(i, j) : P[i, j] >= max_k P[k, j] - tol}: the
 equilibria are R intersected with its transpose.  One pass over blocks of
 opponent moves keeps R as sorted integer keys.  Each reply row's argmax is
 in R, and it is the only member when the row's runner-up falls below the
-floor max - tol, as it nearly always does; only a row with such a tie
-compares every entry against its floor.  The payoffs are then read from the
-block products of the reported moves, one product alive at a time, so the
-peak stays under two NASH_BLOCK_ROWS x n float64 blocks, linear in the grid.
+floor max - tol, as it nearly always does; only the rows from the first such
+tie to the last compare every entry.  The payoffs are then read from the
+block products of the reported moves, one alive at a time, so the peak
+stays under two NASH_BLOCK_ROWS x n float64 blocks.
 
 REGIME_LABELS maps each regime to its equilibrium move pairs, written as
 Alice's move then Bob's: DD (classical), DQ and QD (intermediate) and QQ
@@ -187,8 +187,7 @@ def _best_reply_keys(replies: np.ndarray, tol: float) -> np.ndarray:
     A row's argmax is always a hit, and it is the only one when the row's
     runner-up falls below the floor max - tol, as it nearly always does.
     Only the rows from the first tied row to the last take the full compare,
-    which numpy buffers in up to 64 KB of float64 (a whole block on small
-    grids).  Overwrites each row's maximum with -inf.
+    which numpy buffers in up to 64 KB.  Overwrites each row's maximum with -inf.
     """
     rows = np.arange(len(replies))
     best = replies.argmax(axis=1)
