@@ -39,9 +39,9 @@ PRESETS = ("fig2", "fig3", "fig4")
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # input errors exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        exc = ValueError(message)
+        exc.usage = self.format_usage()  # shown for a typed command line, not a replayed one
+        raise exc
 
 
 def _parse_table(raw: str) -> PayoffTable:
@@ -63,30 +63,20 @@ def _parse_grid(raw: str) -> StrategyGrid:
 
 def _preset_gamma(name: str, table: PayoffTable) -> float:
     """Midpoint of the preset's gamma range: classical, intermediate or quantum."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}, expected one of {', '.join(PRESETS)}")
     th = thresholds(table)
     bounds = (0.0, th.gamma_th1, th.gamma_th2, math.pi / 2)
     k = PRESETS.index(name)
     return (bounds[k] + bounds[k + 1]) / 2
 
 
-SEED_RULE = "must be a non-negative integer"
-
-
-def _is_seed(value) -> bool:
-    """SeedSequence takes only non-negative integers."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _seed(raw: str) -> int:
-    """argparse type of --seed."""
+    """argparse type of --seed: SeedSequence takes only non-negative integers."""
     try:
         seed = int(raw)
     except ValueError:
-        seed = None
-    if not _is_seed(seed):
-        raise argparse.ArgumentTypeError(SEED_RULE)
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return seed
 
 
@@ -131,11 +121,6 @@ def _write(path: str, text: str) -> None:
 def build_landscape_dataset(config: dict) -> FigureDataset:
     table = PayoffTable(*config["table"])
     gamma = validate_gamma(config["gamma"])
-    if "preset" in config:
-        expected = _preset_gamma(config["preset"], table)
-        if gamma != expected:
-            raise ValueError(f"preset {config['preset']!r} is gamma {expected!r}, "
-                             f"not the embedded gamma {gamma!r}")
     ts, payoff = landscape(gamma, config["steps"], table)
     n = len(ts)
     return FigureDataset(
@@ -189,14 +174,9 @@ def build_thresholds_dataset(config: dict) -> FigureDataset:
     )
 
 
-_BUILDERS = {  # the kinds --replay can reach
+_BUILDERS = {  # the builder of each kind --replay can reach, which perfbench's tracer rebinds
     "landscape": build_landscape_dataset,
     "sweep_comparison": build_sweep_dataset,
-}
-_CONFIG_KEYS = {  # every config key a replayable command writes: _config's, then its own
-    "landscape": {"command", "version", "table", "format", "gamma", "steps", "preset"},
-    "sweep": {"command", "version", "table", "format", "gammas", "noise_angle", "noise_readout",
-              "seed"},
 }
 
 
@@ -243,39 +223,41 @@ def build_tomo_report(
 # --- replay ---
 
 
-def _replay(path: str, command: str, expected_kind: str) -> int:
+def _replay_argv(command: str, meta: dict) -> list[str]:
+    """The command line embedded metadata describes: one --flag=value per key,
+    so a value that starts with '-' stays a value; a float as str() writes it,
+    its repr, which reads back exactly; a list joined with commas; one --gamma
+    per sweep value; --preset in place of the gamma it names.  kind, command
+    and version are not flags: a --version would print and exit."""
+    argv = [command]
+    for key, value in meta.items():
+        if key in ("kind", "command", "version") or key == "gamma" and "preset" in meta:
+            continue
+        flag = "--gamma" if key == "gammas" else "--" + key.replace("_", "-")
+        values = value if key == "gammas" and isinstance(value, list) else [value]
+        argv += [f"{flag}={','.join(map(str, v)) if isinstance(v, list) else v}" for v in values]
+    return argv
+
+
+def _replay(path: str, command: str) -> int:
+    """Re-run the command line embedded in path; refuse unless it writes the
+    embedded metadata back, key by key as JSON text, then the file's bytes."""
     with open(path, "r", encoding="utf-8", newline="") as fh:  # keep \r\n as written
         original = fh.read()
     try:
-        try:
-            meta = read_metadata(original)
-        except ValueError as exc:  # its errors do not name the file either
-            raise ValueError(f"file {path}: {exc}") from None
-        kind = meta.pop("kind")
-        if kind != expected_kind:
-            raise ValueError(f"file {path} holds a {kind!r} dataset, not {expected_kind!r}")
-        if meta["command"] != command:
-            raise ValueError(f"file {path}: embedded metadata key 'command' is "
-                             f"{meta['command']!r}, not {command!r}")
-        unknown = sorted(set(meta) - _CONFIG_KEYS[command])
-        if unknown:
-            raise ValueError(f"file {path}: embedded metadata has keys no {command!r} command "
-                             f"writes: {', '.join(unknown)}")
-        if "seed" in meta and not _is_seed(meta["seed"]):
-            raise ValueError(f"file {path}: embedded metadata key 'seed' {SEED_RULE}")
-        table = meta.get("table")
-        if isinstance(table, list) and not (len(table) == 4 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in table)):
-            raise ValueError(f"file {path}: embedded metadata key 'table' must hold four numbers")
-        try:
-            regenerated = render(_BUILDERS[kind](meta), meta["format"])
-        except (ValueError, OverflowError) as exc:  # the builder's errors do not name the file
-            raise ValueError(f"file {path}: {exc}") from None
-    except KeyError as exc:
-        raise ValueError(f"file {path}: embedded metadata lacks key {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ValueError(f"file {path}: embedded metadata has a value of the wrong type "
-                         f"({exc})") from None
+        embedded = read_metadata(original)
+        args = _parse(_replay_argv(command, embedded))
+        ds = args.dataset(args)
+        rebuilt = {"kind": ds.kind, **ds.metadata}
+        for key in sorted(embedded.keys() | rebuilt.keys()):  # 1, 1.0 and true all differ
+            was, now = (json.dumps(d[key]) if key in d else None for d in (embedded, rebuilt))
+            if was != now:
+                was, now = (repr(d[key]) if key in d else None for d in (embedded, rebuilt))
+                raise ValueError(f"key {key!r} is {was or 'missing'}, but {command} writes "
+                                 f"{now or 'no such key'}")
+        regenerated = render(ds, args.format)
+    except (ValueError, OverflowError) as exc:  # none of these errors names the file
+        raise ValueError(f"file {path}: {exc}") from None
     if regenerated == original:
         print(f"replay ok: {path} regenerates byte-identically")
         return 0
@@ -289,7 +271,7 @@ def _typed_flags(args, argv) -> list[str]:
     in declaration order; argparse also takes --flag=value and a unique prefix."""
     names = [t[2:].partition("=")[0] for t in argv if t.startswith("--") and len(t) > 2]
     flags = ["--" + k.replace("_", "-") for k in vars(args)
-             if k not in ("command", "func", "replay_kind")]
+             if k not in ("command", "func", "dataset")]
     return [f for f in flags if any(f.startswith("--" + n) for n in names)]
 
 
@@ -305,21 +287,26 @@ def _check_replay_alone(args, argv) -> None:
 # --- command handlers ---
 
 
-def _cmd_landscape(args) -> None:
+def _landscape_dataset(args) -> FigureDataset:
+    """The landscape a command line describes, written or replayed."""
     gamma = _preset_gamma(args.preset, args.table) if args.preset else args.gamma
     if gamma is None:
         raise ValueError("landscape needs --gamma or --preset")
     config = _config(args, gamma=float(gamma), steps=args.steps)
     if args.preset:
         config["preset"] = args.preset
-    _write(args.out, render(build_landscape_dataset(config), args.format))
+    return build_landscape_dataset(config)
 
 
-def _cmd_sweep(args) -> None:
-    gammas = [float(g) for g in args.gamma] if args.gamma else sweep_gammas()
-    config = _config(args, gammas=gammas, noise_angle=args.noise_angle,
+def _sweep_dataset(args) -> FigureDataset:
+    """The sweep a command line describes, written or replayed."""
+    config = _config(args, gammas=args.gamma or sweep_gammas(), noise_angle=args.noise_angle,
                      noise_readout=args.noise_readout, seed=args.seed)
-    _write(args.out, render(build_sweep_dataset(config), args.format))
+    return build_sweep_dataset(config)
+
+
+def _cmd_dataset(args) -> None:
+    _write(args.out, render(args.dataset(args), args.format))
 
 
 def _cmd_equilibria(args) -> None:
@@ -368,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qdilemma {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func, out, fmt=True, replay_kind=None):
+    def common(p, func, out, fmt=True, dataset=None):
         """The flags every subcommand shares, after its own."""
         p.add_argument("--out", default=out)
-        if replay_kind:
+        if dataset:
             p.add_argument("--replay", metavar="FILE",
                            help="regenerate FILE from its embedded config and verify bytes match")
         p.add_argument("--table", default=",".join(map(str, DEFAULT_TABLE.as_tuple())),
@@ -379,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="payoff table: reward,sucker,temptation,punishment")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.set_defaults(func=func, replay_kind=replay_kind)
+        p.set_defaults(func=func, dataset=dataset)
 
     p = sub.add_parser("landscape", help="payoff surface over the t-parametrized square")
     at = p.add_mutually_exclusive_group()
@@ -387,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--preset", choices=PRESETS,
                     help="canonical entanglement values: below, between and above the thresholds")
     p.add_argument("--steps", type=int, default=41)
-    common(p, _cmd_landscape, "landscape.csv", replay_kind="landscape")
+    common(p, _cmd_dataset, "landscape.csv", dataset=_landscape_dataset)
 
     p = sub.add_parser("sweep", help="payoff vs entanglement: analytic, ideal pulses, noisy tomography")
     p.add_argument("--gamma", type=float, action="append",
@@ -395,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-angle", type=float, default=0.05)
     p.add_argument("--noise-readout", type=float, default=0.03)
     p.add_argument("--seed", type=_seed, default=0)
-    common(p, _cmd_sweep, "sweep.csv", replay_kind="sweep_comparison")
+    common(p, _cmd_dataset, "sweep.csv", dataset=_sweep_dataset)
 
     p = sub.add_parser("equilibria", help="grid Nash equilibria at one entanglement value")
     p.add_argument("--gamma", type=float, required=True)
@@ -426,23 +413,29 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """A command line parsed, with its --table read."""
+    args = _PARSER.parse_args(argv)
+    args.table = _parse_table(args.table)
+    return args
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _PARSER.parse_args(argv)
-        args.table = _parse_table(args.table)
+        args = _parse(argv)
         if getattr(args, "replay", None) is not None:  # --replay "" included
             _check_replay_alone(args, argv)
-            return _replay(args.replay, args.command, args.replay_kind)
+            return _replay(args.replay, args.command)
         if args.out is None and "--format" in _typed_flags(args, argv):
             raise ValueError("--format needs --out: without --out no file is written")
         args.func(args)
         return 0
-    except SystemExit as exc:  # argparse --help/--version or our input errors
+    except SystemExit as exc:  # argparse --help/--version
         return exc.code if isinstance(exc.code, int) else 0
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{getattr(exc, 'usage', '')}error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's names the size it could not allocate
         print(f"error: out of memory ({exc})", file=sys.stderr)

@@ -130,12 +130,15 @@ def read_metadata(text: str) -> dict:
     """Recover the embedded metadata (including kind) from a rendered dataset.
 
     Reads only the metadata, where the writers put it: the first line of
-    to_csv's layout, the trailing kind and metadata of to_json's.  The
-    columns are not parsed, so a file whose columns are damaged still
-    yields its metadata; its replay then fails on the byte comparison.
+    to_csv's layout, the trailing kind and metadata of to_json's, and only
+    a JSON object there.  The columns are not parsed, so a file whose
+    columns are damaged still yields its metadata; its replay then fails on
+    the byte comparison.
     """
     if text.startswith(CSV_META_PREFIX):
-        return json.loads(text.partition("\n")[0][len(CSV_META_PREFIX):])
+        meta = json.loads(text.partition("\n")[0][len(CSV_META_PREFIX):])
+        if isinstance(meta, dict):
+            return meta
     kind_key, metadata_key = '\n  "kind": ', ',\n  "metadata": '
     start = text.rfind(kind_key) if text.startswith("{") else -1
     if start >= 0:
@@ -143,7 +146,7 @@ def read_metadata(text: str) -> dict:
             kind, end = _DECODER.raw_decode(text, start + len(kind_key))
             if text.startswith(metadata_key, end):
                 metadata, end = _DECODER.raw_decode(text, end + len(metadata_key))
-                if text[end:] == "\n}\n":
+                if text[end:] == "\n}\n" and isinstance(metadata, dict):
                     return {"kind": kind, **metadata}
         except ValueError:
             pass

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qdilemma import cli
+from qdilemma import __version__, cli
 from qdilemma.cli import (
     _columns,
     _parse_grid,
@@ -17,7 +17,7 @@ from qdilemma.cli import (
     build_parser,
     main,
 )
-from qdilemma.datasets import read_metadata
+from qdilemma.datasets import read_metadata, render
 from qdilemma.equilibrium import DEFAULT_GRID, DEFAULT_TOL, thresholds
 from qdilemma.game import DEFAULT_TABLE, PayoffTable
 
@@ -42,6 +42,10 @@ def read(path):
 
 # an integer that JSON holds exactly and a float cannot
 HUGE = int("9" * 400)
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDENS = [("landscape", "landscape_fig3_11.csv"), ("landscape", "landscape_fig3_11.json"),
+           ("sweep", "sweep_seed7.csv"), ("sweep", "sweep_seed7.json")]
 
 
 class TestThresholdsCommand:
@@ -215,7 +219,12 @@ class TestReplay:
     @pytest.mark.parametrize("fmt, damage", [
         ("json", lambda data: data.replace(b"\n", b"\r\n")),
         ("csv", lambda data: data.split(b"\n", 1)[1]),  # the "# meta:" line removed
-    ], ids=["json-crlf", "csv-without-meta"])
+        # metadata that is not a JSON object
+        ("csv", lambda data: b"# meta: 5\n" + data.split(b"\n", 1)[1]),
+        ("csv", lambda data: b"# meta: [1]\n" + data.split(b"\n", 1)[1]),
+        ("json", lambda data: (json.dumps({**json.loads(data), "metadata": [1]}, sort_keys=True,
+                                          indent=2) + "\n").encode()),
+    ], ids=["json-crlf", "csv-without-meta", "csv-number", "csv-list", "json-list"])
     def test_replay_names_a_file_without_metadata(self, tmp_path, capsys, fmt, damage):
         out = tmp_path / f"l.{fmt}"
         assert run_cli("landscape", "--gamma", "0.3", "--steps", "3", "--format", fmt,
@@ -280,15 +289,16 @@ class TestReplay:
         assert run_cli("sweep", "--replay", out) == 1
 
     @pytest.mark.parametrize(
-        "command,args,key",
+        "command,args,key,default",
         [
-            ("landscape", ("--gamma", "0.3", "--steps", "3"), "steps"),
-            ("landscape", ("--gamma", "0.3", "--steps", "3"), "format"),
-            ("sweep", ("--gamma", "0.6", "--seed", "5"), "seed"),
-            ("sweep", ("--gamma", "0.6", "--seed", "5"), "format"),
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "steps", "41"),
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "format", "'csv'"),
+            ("sweep", ("--gamma", "0.6", "--seed", "5"), "seed", "0"),
+            ("sweep", ("--gamma", "0.6", "--seed", "5"), "format", "'csv'"),
         ],
     )
-    def test_replay_names_missing_metadata_key(self, tmp_path, capsys, command, args, key):
+    def test_replay_names_missing_metadata_key(self, tmp_path, capsys, command, args, key,
+                                               default):
         out = str(tmp_path / "d.csv")
         assert run_cli(command, *args, "--out", out) == 0
         meta_line, rest = read(out).split("\n", 1)
@@ -298,17 +308,22 @@ class TestReplay:
             fh.write("# meta: " + json.dumps(meta) + "\n" + rest)
         capsys.readouterr()
         assert run_cli(command, "--replay", out) == 1
-        assert f"error: file {out}: embedded metadata lacks key '{key}'" in capsys.readouterr().err
+        assert (f"error: file {out}: key '{key}' is missing, but {command} writes {default}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize(
-        "command,args,key,value",
+        "command,args,key,value,message",
         [
-            ("landscape", ("--gamma", "0.3", "--steps", "3"), "steps", "3"),
-            ("landscape", ("--gamma", "0.3", "--steps", "3"), "table", "3,0,5,1"),
-            ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", [0.5]),
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "steps", "3",
+             "key 'steps' is '3', but landscape writes 3"),
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "table", "3,0,5,1",
+             "key 'table' is '3,0,5,1', but landscape writes [3.0, 0.0, 5.0, 1.0]"),
+            ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", [0.5],
+             "key 'gamma' is [0.5], but landscape writes 0.5"),
         ],
     )
-    def test_replay_names_wrong_typed_metadata(self, tmp_path, capsys, command, args, key, value):
+    def test_replay_names_wrong_typed_metadata(self, tmp_path, capsys, command, args, key, value,
+                                               message):
         out = str(tmp_path / "d.csv")
         assert run_cli(command, *args, "--out", out) == 0
         meta_line, rest = read(out).split("\n", 1)
@@ -319,10 +334,15 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli(command, "--replay", out) == 1
         err = capsys.readouterr().err
-        assert f"error: file {out}: embedded metadata has a value of the wrong type" in err
+        assert f"error: file {out}: {message}" in err
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, "7", True])
-    def test_replay_checks_the_seed_like_the_seed_flag(self, tmp_path, capsys, seed):
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "argument --seed: must be a non-negative integer"),
+        (2.5, "argument --seed: must be a non-negative integer"),
+        ("7", "key 'seed' is '7', but sweep writes 7"),
+        (True, "argument --seed: must be a non-negative integer"),
+    ], ids=["-1", "2.5", "7", "True"])
+    def test_replay_checks_the_seed_like_the_seed_flag(self, tmp_path, capsys, seed, message):
         out = str(tmp_path / "s.csv")
         assert run_cli("sweep", "--gamma", "0.6", "--seed", "2", "--out", out) == 0
         meta_line, rest = read(out).split("\n", 1)
@@ -333,18 +353,21 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli("sweep", "--replay", out) == 1
         err = capsys.readouterr().err
-        assert f"error: file {out}: embedded metadata key 'seed' must be a non-negative integer" in err
+        assert f"error: file {out}: {message}" in err
 
-    @pytest.mark.parametrize("table", [[3.0, 0.0, 5.0], [], [3.0, False, 5.0, 1.0],
-                                       [3.0, 0.0, 5.0, True]])
+    @pytest.mark.parametrize("table, shown", [
+        ([3.0, 0.0, 5.0], "'3.0,0.0,5.0'"), ([], "''"),
+        ([3.0, False, 5.0, 1.0], "'3.0,False,5.0,1.0'"),
+        ([3.0, 0.0, 5.0, True], "'3.0,0.0,5.0,True'"),
+    ], ids=["three", "empty", "false", "true"])
     @pytest.mark.parametrize("command,args", [
         ("landscape", ("--gamma", "0.3", "--steps", "3")),
         ("sweep", ("--gamma", "0.6", "--seed", "2")),
     ])
     def test_replay_refuses_a_table_that_is_not_four_numbers(self, tmp_path, capsys, command,
-                                                             args, table):
-        # the builders would fill missing entries from the default table, and
-        # PayoffTable would take False as 0
+                                                             args, table, shown):
+        # PayoffTable would fill missing entries from the default table and
+        # take False as 0; the --table flag takes neither
         out = str(tmp_path / "d.csv")
         assert run_cli(command, *args, "--out", out) == 0
         meta_line, rest = read(out).split("\n", 1)
@@ -355,19 +378,23 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli(command, "--replay", out) == 1
         captured = capsys.readouterr()
-        assert captured.err == (f"error: file {out}: embedded metadata key 'table' "
-                                "must hold four numbers\n")
+        assert captured.err == (f"error: file {out}: --table expects four numbers: "
+                                f"reward,sucker,temptation,punishment, got {shown}\n")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command,args,key,value,shown", [
-        ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", "0.3", "'0.3'"),
-        ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", True, "True"),
-        ("sweep", ("--gamma", "0.6", "--seed", "2"), "gammas", ["0.6"], "'0.6'"),
-        ("sweep", ("--gamma", "0.6", "--seed", "2"), "gammas", [True], "True"),
+    @pytest.mark.parametrize("command,args,key,value,message", [
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", "0.3",
+         "key 'gamma' is '0.3', but landscape writes 0.3"),
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", True,
+         "argument --gamma: invalid float value: 'True'"),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "gammas", ["0.6"],
+         "key 'gammas' is ['0.6'], but sweep writes [0.6]"),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "gammas", [True],
+         "argument --gamma: invalid float value: 'True'"),
     ])
     def test_replay_refuses_a_gamma_that_is_not_a_number(self, tmp_path, capsys, command, args,
-                                                         key, value, shown):
-        # the config regenerates the same bytes, so only the gamma check refuses it
+                                                         key, value, message):
+        # the config regenerates the same bytes, so only the config comparison refuses it
         out = str(tmp_path / "d.csv")
         assert run_cli(command, *args, "--out", out) == 0
         meta_line, rest = read(out).split("\n", 1)
@@ -378,18 +405,21 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli(command, "--replay", out) == 1
         captured = capsys.readouterr()
-        assert captured.err == (f"error: file {out}: entanglement parameter must be a number, "
-                                f"got {shown}\n")
+        assert captured.err == f"error: file {out}: {message}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command,args,key,value", [
-        ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", HUGE),
-        ("sweep", ("--gamma", "0.6", "--seed", "2"), "gammas", [HUGE]),
-        ("landscape", ("--gamma", "0.3", "--steps", "3"), "table", [3, 0, HUGE, 1]),
-        ("sweep", ("--gamma", "0.6", "--seed", "2"), "noise_readout", HUGE),
+    @pytest.mark.parametrize("command,args,key,value,message", [
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "gamma", HUGE,
+         "entanglement parameter must lie in [0, pi/2], got inf"),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "gammas", [HUGE],
+         "entanglement parameter must lie in [0, pi/2], got inf"),
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "table", [3, 0, HUGE, 1],
+         "payoff table entry temptation must be finite, got inf"),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "noise_readout", HUGE,
+         "noise_sigma must be finite and non-negative, got inf"),
     ], ids=["gamma", "gammas", "table", "noise_readout"])
     def test_replay_names_the_file_for_an_integer_too_large_for_a_float(
-            self, tmp_path, capsys, command, args, key, value):
+            self, tmp_path, capsys, command, args, key, value, message):
         out = str(tmp_path / "d.csv")
         assert run_cli(command, *args, "--out", out) == 0
         meta_line, rest = read(out).split("\n", 1)
@@ -401,7 +431,7 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli(command, "--replay", out) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: file {out}: int too large to convert to float\n"
+        assert captured.err == f"error: file {out}: {message}\n"
         assert captured.out == ""
 
     def test_replay_names_the_file_for_a_builder_error(self, tmp_path, capsys):
@@ -417,11 +447,11 @@ class TestReplay:
 
     @pytest.mark.parametrize("old, new, message", [
         ('"command":"landscape"', '"command":"sweep"',
-         "embedded metadata key 'command' is 'sweep', not 'landscape'"),
+         "key 'command' is 'sweep', but landscape writes 'landscape'"),
         ('"preset":"fig3"', '"preset":"fig9"',
-         "unknown preset 'fig9', expected one of fig2, fig3, fig4"),
+         "argument --preset: invalid choice: 'fig9' (choose from 'fig2', 'fig3', 'fig4')"),
         ('"preset":"fig3"', '"preset":"fig2"',
-         "preset 'fig2' is gamma {fig2!r}, not the embedded gamma {fig3!r}"),
+         "key 'gamma' is {fig3!r}, but landscape writes {fig2!r}"),
     ])
     def test_replay_refuses_metadata_no_command_writes(self, tmp_path, capsys, old, new, message):
         out = str(tmp_path / "l.csv")
@@ -435,16 +465,25 @@ class TestReplay:
         midpoints = {name: _preset_gamma(name, DEFAULT_TABLE) for name in ("fig2", "fig3")}
         assert capsys.readouterr().err == f"error: file {out}: {message.format(**midpoints)}\n"
 
-    @pytest.mark.parametrize("command,args,fmt,extra", [
-        ("landscape", ("--gamma", "0.3", "--steps", "3"), "csv", {"zzz": [1, 2]}),
-        ("landscape", ("--preset", "fig2", "--steps", "2"), "json", {"regime": "classical"}),
-        ("sweep", ("--gamma", "0.6", "--seed", "2"), "csv", {"aaa": 1, "zzz": None}),
-        ("sweep", ("--gamma", "0.6", "--seed", "2"), "json", {"steps": 3}),
+    @pytest.mark.parametrize("command,args,fmt,extra,message", [
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "csv", {"zzz": [1, 2]},
+         "unrecognized arguments: --zzz=1,2"),
+        ("landscape", ("--preset", "fig2", "--steps", "2"), "json", {"regime": "classical"},
+         "unrecognized arguments: --regime=classical"),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "csv", {"aaa": 1, "zzz": None},
+         "unrecognized arguments: --aaa=1 --zzz=None"),
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "json", {"steps": 3},
+         "unrecognized arguments: --steps=3"),
+        # a key that is also a flag parses, and the config comparison refuses it
+        ("sweep", ("--gamma", "0.6", "--seed", "2"), "json", {"out": "y.csv"},
+         "key 'out' is 'y.csv', but sweep writes no such key"),
+        ("landscape", ("--gamma", "0.3", "--steps", "3"), "csv", {"replay": "l.csv"},
+         "key 'replay' is 'l.csv', but landscape writes no such key"),
     ])
     def test_replay_refuses_keys_no_command_writes(self, tmp_path, capsys, command, args, fmt,
-                                                   extra):
+                                                   extra, message):
         # the builders copy the config into the output, so the edited file
-        # regenerates byte for byte and only the key check refuses it
+        # regenerates byte for byte and only the rebuilt command line refuses it
         out = str(tmp_path / f"d.{fmt}")
         assert run_cli(command, *args, "--format", fmt, "--out", out) == 0
         if fmt == "csv":
@@ -460,9 +499,114 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli(command, "--replay", out) == 1
         captured = capsys.readouterr()
-        assert captured.err == (f"error: file {out}: embedded metadata has keys no {command!r} "
-                                f"command writes: {', '.join(sorted(extra))}\n")
+        assert captured.err == f"error: file {out}: {message}\n"
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"noise_angle":0.0', '"noise_angle":false',
+         "argument --noise-angle: invalid float value: 'False'"),
+        ('"noise_readout":0.0', '"noise_readout":false',
+         "argument --noise-readout: invalid float value: 'False'"),
+        ('"version":"%s"' % __version__, '"version":"9.9"',
+         "key 'version' is '9.9', but sweep writes %r" % __version__),
+    ], ids=["noise_angle", "noise_readout", "version"])
+    def test_replay_refuses_what_no_command_writes_even_at_the_same_bytes(
+            self, tmp_path, capsys, old, new, message):
+        # without noise, false draws as 0.0 does, and each edit regenerates the
+        # edited bytes; the embedded command line is what refuses it
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--gamma", "0.6", "--noise-angle", "0", "--noise-readout", "0",
+                       "--out", str(out)) == 0
+        text = read(out)
+        assert old in text
+        out.write_text(text.replace(old, new, 1), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("sweep", "--replay", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: file {out}: {message}\n"  # one line, no usage
+        assert captured.out == ""
+
+
+def rebuilt_metadata(command, meta):
+    """The metadata written by the command line rebuilt from meta, as JSON text."""
+    args = cli._parse(cli._replay_argv(command, meta))
+    ds = args.dataset(args)
+    return json.dumps({"kind": ds.kind, **ds.metadata}, sort_keys=True)
+
+
+def assert_metadata_round_trips(argv):
+    """The file argv writes embeds a command line that writes its metadata again."""
+    args = cli._parse(argv)
+    meta = read_metadata(render(args.dataset(args), args.format))
+    assert rebuilt_metadata(args.command, meta) == json.dumps(meta, sort_keys=True)
+
+
+class TestReplayArgv:
+    def test_one_flag_per_key_with_its_value_after_an_equals_sign(self):
+        meta = read_metadata(read(DATA / "landscape_fig3_11.csv"))
+        assert cli._replay_argv("landscape", meta) == [
+            "landscape", "--format=csv", "--preset=fig3", "--steps=11",
+            "--table=3.0,0.0,5.0,1.0"]
+        meta = {"kind": "sweep_comparison", "command": "sweep", "version": __version__,
+                "gammas": [0.1 + 0.2, 0.0], "seed": 3, "table": [-1.0, -2.5, 1.0, -1.5]}
+        assert cli._replay_argv("sweep", meta) == [
+            "sweep", "--gamma=0.30000000000000004", "--gamma=0.0", "--seed=3",
+            "--table=-1.0,-2.5,1.0,-1.5"]
+
+    @pytest.mark.parametrize("command,name", GOLDENS)
+    def test_goldens(self, command, name):
+        meta = read_metadata(read(DATA / name))
+        assert rebuilt_metadata(command, meta) == json.dumps(meta, sort_keys=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["sweep", "--format", "json"],
+        *(["landscape", "--preset", p, "--steps", "3"] for p in ("fig2", "fig3", "fig4")),
+        ["landscape", "--preset", "fig3", "--table", "4,0,6,2", "--format", "json"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_default_sweeps_and_presets(self, argv):
+        assert_metadata_round_trips(argv)
+
+
+try:
+    from hypothesis import assume, example, given, settings, strategies as st
+except ImportError:  # a dev dependency; the cases above run without it
+    given = None
+
+if given is not None:
+    @st.composite
+    def dilemma_tables(draw):
+        """(r, s, t, p) with t > r > p > s and p - s <= t - r: a table with two thresholds."""
+        s, p, r, t = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4,
+                                          unique=True)))
+        assume(p - s <= t - r)
+        return r, s, t, p
+
+    def _flags(name, values):
+        return [f"--{name}={v!r}" for v in values]
+
+    GAMMA = st.floats(0.0, math.pi / 2)
+    ROUND_TRIP = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+    @ROUND_TRIP
+    @given(st.lists(GAMMA, min_size=1, max_size=3), dilemma_tables(), st.floats(0.0, 0.2),
+           st.floats(0.0, 0.2), st.integers(0, 2**64), st.sampled_from(["csv", "json"]))
+    @example([0.1 + 0.2], (3.0, 0.0, 5.0, 1.0), 0.1 + 0.2 - 0.25, 1 / 3 / 10, 0, "csv")
+    def test_a_drawn_sweep_rebuilds_its_metadata(gammas, table, noise_angle, noise_readout,
+                                                 seed, fmt):
+        assert_metadata_round_trips(["sweep", *_flags("gamma", gammas),
+                                     "--table=" + ",".join(map(repr, table)),
+                                     *_flags("noise-angle", [noise_angle]),
+                                     *_flags("noise-readout", [noise_readout]),
+                                     f"--seed={seed}", f"--format={fmt}"])
+
+    @ROUND_TRIP
+    @given(st.one_of(GAMMA.map(lambda g: f"--gamma={g!r}"),
+                     st.sampled_from(["--preset=fig2", "--preset=fig3", "--preset=fig4"])),
+           dilemma_tables(), st.integers(2, 4), st.sampled_from(["csv", "json"]))
+    def test_a_drawn_landscape_rebuilds_its_metadata(at, table, steps, fmt):
+        assert_metadata_round_trips(["landscape", at, "--table=" + ",".join(map(repr, table)),
+                                     f"--steps={steps}", f"--format={fmt}"])
 
 
 class TestNmrCommand:
@@ -568,6 +712,12 @@ class TestParsing:
 
     def test_bad_table_shape(self):
         assert run_cli("thresholds", "--table", "1,2,3") == 1
+
+    def test_a_typed_parse_error_shows_its_usage(self, capsys):
+        assert run_cli("landscape", "--steps", "x") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qdilemma landscape [-h]")
+        assert err.endswith("\nerror: argument --steps: invalid int value: 'x'\n")
 
     def test_bad_table_is_checked_before_replay(self, tmp_path, capsys):
         out = str(tmp_path / "l.csv")

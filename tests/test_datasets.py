@@ -208,6 +208,10 @@ class TestReadMetadata:
         lambda ds: json.dumps(json.loads(to_json(ds))),
         lambda ds: " " + to_json(ds),
         lambda ds: to_json(ds) + "}",
+        # metadata that is not a JSON object
+        lambda ds: "# meta: 5\n" + to_csv(ds).split("\n", 1)[1],
+        lambda ds: "# meta: [1]\n" + to_csv(ds).split("\n", 1)[1],
+        lambda ds: to_json(FigureDataset(ds.kind, ds.columns, [1])),
     ])
     def test_other_layouts_are_refused(self, layout):
         with pytest.raises(ValueError, match="no embedded metadata found"):
